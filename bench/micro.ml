@@ -134,9 +134,35 @@ let resolve_batch_kernel () =
   let resolver, addrs = Lazy.force resolve_fixture in
   ignore (Inspect.Resolve.resolve_batch resolver addrs : int array)
 
+(* The event tapes of two mcf requests, recorded once, drained through
+   one warm front-end core (steady state: no reset between calls). *)
+let uarch_fixture =
+  lazy
+    (let _, _, _, image, _ = Lazy.force mcf_artifacts in
+     let tapes = ref [] in
+     let record (t : Exec.Event.tape) =
+       let n = t.len in
+       tapes :=
+         { t with
+           Exec.Event.tags = Bytes.sub t.tags 0 n;
+           a = Array.sub t.a 0 n;
+           b = Array.sub t.b 0 n;
+           c = Array.sub t.c 0 n }
+         :: !tapes
+     in
+     ignore
+       (Exec.Interp.run_tape image { Exec.Interp.default_config with requests = 2 } ~drain:record
+         : Exec.Interp.stats);
+     (Uarch.Core.create Uarch.Core.default_config, List.rev !tapes))
+
+let uarch_consume_kernel () =
+  let core, tapes = Lazy.force uarch_fixture in
+  List.iter (Uarch.Core.consume core) tapes
+
 let fastpath_kernels =
   [
     ("lbr_bump_packed_8k", lbr_bump_kernel);
+    ("uarch_consume_mcf", uarch_consume_kernel);
     ("exttsp_score_flat_1000", exttsp_score_kernel);
     ("resolve_batch_mcf_8k", resolve_batch_kernel);
   ]
@@ -196,6 +222,7 @@ let tests () =
     wpa_test;
     exec_test;
     Test.make ~name:"lbr_bump_packed_8k" (Staged.stage lbr_bump_kernel);
+    Test.make ~name:"uarch_consume_mcf" (Staged.stage uarch_consume_kernel);
     Test.make ~name:"exttsp_score_flat_1000" (Staged.stage exttsp_score_kernel);
     Test.make ~name:"resolve_batch_mcf_8k" (Staged.stage resolve_batch_kernel);
   ]

@@ -51,6 +51,8 @@ type t = {
          stores unboxed. Synced into [c.cycles] on every read. *)
   hugepages : bool;
   mutable last_page : int;
+  mutable last_line : int;  (* last 64B line the previous fetch touched, -1 = none *)
+  skip_repeat : bool;
 }
 
 (* Penalty model (cycles). Values are in the range hardware manuals and
@@ -76,6 +78,14 @@ let taken_branch_bubble = 1.0
 let dsb_switch_penalty = 2.0
 
 let dmiss_penalty = 80.0 (* average L3/DRAM data stall *)
+
+(* Re-probing the previous fetch's last line is a no-op on every
+   structure only if both of its DSB windows still hit without
+   reordering their set: they are one window, sit in different sets
+   (each its set's MRU), or share a set with room for both. Only a
+   1-way DSB whose line windows collide in one set fails this. *)
+let repeat_skip_exact (d : Dsb.params) =
+  d.window_bytes >= 64 || d.ways >= 2 || d.windows / d.ways > 32 / d.window_bytes
 
 let create (config : config) =
   {
@@ -106,6 +116,8 @@ let create (config : config) =
       };
     cyc = [| 0.0 |];
     last_page = -1;
+    last_line = -1;
+    skip_repeat = repeat_skip_exact config.dsb;
   }
 
 let[@inline] add_cycles t x = Array.unsafe_set t.cyc 0 (Array.unsafe_get t.cyc 0 +. x)
@@ -124,9 +136,14 @@ let fetch t addr len insts =
   let insts = max 1 insts in
   c.instructions <- c.instructions + insts;
   add_cycles t (float_of_int insts /. decode_width);
-  (* Touch every 64B line in [addr, addr+len). *)
+  (* Touch every 64B line in [addr, addr+len). A first line equal to the
+     previous fetch's last line is skipped: only fetches touch the L1i,
+     iTLB and DSB, so its L1i and DSB probes would be MRU hits that
+     change no state, and its page is already [last_page]. *)
   let first_line = addr lsr 6 and last_line = (addr + len - 1) lsr 6 in
-  for ln = first_line to last_line do
+  let from = if first_line = t.last_line && t.skip_repeat then first_line + 1 else first_line in
+  if last_line >= first_line then t.last_line <- last_line;
+  for ln = from to last_line do
     let a = ln lsl 6 in
     let l1_hit = Cache.access t.l1i a in
     (* iTLB lookup per page transition. *)
@@ -191,8 +208,10 @@ let sink t =
     on_request = (fun _ -> ());
   }
 
-(* Direct tape drain: one monomorphic dispatch loop, no closure hops,
-   no variant or float boxing per event. *)
+(* Direct tape drain: one monomorphic dispatch loop with no closure
+   hops. Nothing on the path allocates (cycles accumulate in [cyc],
+   cache probes are closure-free); the steady-state allocation law in
+   test_exec.ml holds it to that. *)
 let consume t (tape : Exec.Event.tape) =
   let tags = tape.Exec.Event.tags
   and a = tape.Exec.Event.a
@@ -218,6 +237,7 @@ let reset t =
   Btb.reset t.btb;
   Dsb.reset t.dsb;
   t.last_page <- -1;
+  t.last_line <- -1;
   t.cyc.(0) <- 0.0;
   let c = t.c in
   c.instructions <- 0;

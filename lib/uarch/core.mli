@@ -53,9 +53,9 @@ val create : config -> t
 val sink : t -> Exec.Event.sink
 
 (** [consume t tape] drains a flat event tape directly — the fast path
-    to pair with {!Exec.Interp.run_tape} (no closure indirection, no
-    per-event boxing). Observationally identical to feeding the same
-    events through [sink t]. *)
+    to pair with {!Exec.Interp.run_tape}: no closure indirection, and no
+    allocation once the structures exist. Observationally identical to
+    feeding the same events through [sink t]. *)
 val consume : t -> Exec.Event.tape -> unit
 
 val counters : t -> counters

@@ -2,15 +2,7 @@ type params = { entries_4k : int; ways_4k : int; entries_2m : int }
 
 let skylake = { entries_4k = 128; ways_4k = 8; entries_2m = 8 }
 
-type t = {
-  cache_4k : Cache.t;
-  tags_2m : int array;
-  lru_2m : int array;
-  mutable clock : int;
-  hugepages : bool;
-  bits_4k : int;
-  bits_2m : int;
-}
+type t = { cache_4k : Cache.t; cache_2m : Cache.t; hugepages : bool; bits_4k : int; bits_2m : int }
 
 let create ?(page_scale_bits = 0) p ~hugepages =
   (* Pressure-preserving scaling: programs generated at 1/2^k of their
@@ -22,9 +14,8 @@ let create ?(page_scale_bits = 0) p ~hugepages =
     cache_4k =
       Cache.create
         { Cache.sets = p.entries_4k / p.ways_4k; ways = p.ways_4k; line_bytes = 1 lsl bits_4k };
-    tags_2m = Array.make p.entries_2m (-1);
-    lru_2m = Array.make p.entries_2m 0;
-    clock = 0;
+    (* Fully associative: one set whose "lines" are 2M pages. *)
+    cache_2m = Cache.create { Cache.sets = 1; ways = p.entries_2m; line_bytes = 1 lsl bits_2m };
     hugepages;
     bits_4k;
     bits_2m;
@@ -32,35 +23,8 @@ let create ?(page_scale_bits = 0) p ~hugepages =
 
 let page t addr = if t.hugepages then addr lsr t.bits_2m else addr lsr t.bits_4k
 
-let access_2m t addr =
-  let pg = addr lsr t.bits_2m in
-  t.clock <- t.clock + 1;
-  let n = Array.length t.tags_2m in
-  let rec find i = if i >= n then None else if t.tags_2m.(i) = pg then Some i else find (i + 1) in
-  match find 0 with
-  | Some i ->
-    t.lru_2m.(i) <- t.clock;
-    true
-  | None ->
-    let victim = ref 0 and oldest = ref max_int in
-    for i = 0 to n - 1 do
-      if t.tags_2m.(i) = -1 && !oldest > -1 then begin
-        victim := i;
-        oldest := -1
-      end
-      else if !oldest > -1 && t.lru_2m.(i) < !oldest then begin
-        victim := i;
-        oldest := t.lru_2m.(i)
-      end
-    done;
-    t.tags_2m.(!victim) <- pg;
-    t.lru_2m.(!victim) <- t.clock;
-    false
-
-let access t addr = if t.hugepages then access_2m t addr else Cache.access t.cache_4k addr
+let access t addr = Cache.access (if t.hugepages then t.cache_2m else t.cache_4k) addr
 
 let reset t =
   Cache.reset t.cache_4k;
-  Array.fill t.tags_2m 0 (Array.length t.tags_2m) (-1);
-  Array.fill t.lru_2m 0 (Array.length t.lru_2m) 0;
-  t.clock <- 0
+  Cache.reset t.cache_2m

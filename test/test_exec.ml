@@ -186,17 +186,13 @@ let test_inline_data_not_fetched () =
   (* 10 + 6 + ret(1) executed; the 64 data bytes are skipped. *)
   check ti "data bytes skipped" 17 stats.bytes_fetched
 
-(* Steady-state allocation law (ISSUE 9): once the event tape and the
-   LBR tables have grown to capacity, a warm profiled run allocates a
-   fixed per-run overhead (the stats record, the drain closure) and
-   nothing per event. The per-request bound guards the flat fast path
-   against reintroducing closures or tuple keys on the event path,
-   which immediately costs tens of words per request. *)
-let test_steady_state_allocation () =
-  let _, program = medium_program () in
-  let _, image = build_image program in
-  let profile = Perfmon.Lbr.create_profile () in
-  let c = Perfmon.Lbr.collector_state Perfmon.Lbr.default_config profile in
+(* Steady-state allocation law: once the event tape and the consumer's
+   tables have grown to capacity, a warm run allocates a fixed per-run
+   overhead (the stats record, the drain closure) and nothing per
+   event. The per-request bound guards the flat fast path against
+   reintroducing closures or tuple keys on the event path, which
+   immediately costs tens of words per request. *)
+let allocation_slope image ~drain =
   let reps = 5 in
   (* Words allocated by [reps] warm runs at [requests] requests each.
      Each run pays a fixed setup cost (the event tape, the visits
@@ -204,12 +200,8 @@ let test_steady_state_allocation () =
      the slope between two request counts, not a single quotient. *)
   let measure requests =
     let config = { Exec.Interp.default_config with requests } in
-    let run () =
-      ignore
-        (Exec.Interp.run_tape image config ~drain:(Perfmon.Lbr.consume c)
-          : Exec.Interp.stats)
-    in
-    (* Warm-up: grow the tape and the profile tables to steady capacity. *)
+    let run () = ignore (Exec.Interp.run_tape image config ~drain : Exec.Interp.stats) in
+    (* Warm-up: grow the tape and the consumer's tables to steady capacity. *)
     for _ = 1 to 3 do
       run ()
     done;
@@ -220,12 +212,34 @@ let test_steady_state_allocation () =
     Gc.minor_words () -. w0
   in
   let lo = 20 and hi = 120 in
-  let slope = (measure hi -. measure lo) /. float_of_int (reps * (hi - lo)) in
-  (* Zero today. One stray box or closure on the event path costs
-     hundreds of words per request, so 8.0 is a tight tripwire that
-     still tolerates incidental runtime noise. *)
+  (measure hi -. measure lo) /. float_of_int (reps * (hi - lo))
+
+(* Zero today. One stray box or closure on the event path costs
+   hundreds of words per request, so 8.0 is a tight tripwire that
+   still tolerates incidental runtime noise. *)
+let check_slope what slope =
   if slope > 8.0 then
-    Alcotest.failf "steady-state allocation too high: %.2f words/request" slope
+    Alcotest.failf "%s: steady-state allocation too high: %.2f words/request" what slope
+
+let test_steady_state_allocation () =
+  let _, program = medium_program () in
+  let _, image = build_image program in
+  let profile = Perfmon.Lbr.create_profile () in
+  let c = Perfmon.Lbr.collector_state Perfmon.Lbr.default_config profile in
+  check_slope "lbr" (allocation_slope image ~drain:(Perfmon.Lbr.consume c))
+
+(* The same law for the front-end model, on the 4K-page and the
+   hugepage iTLB paths. *)
+let test_steady_state_allocation_uarch () =
+  let _, program = medium_program () in
+  let _, image = build_image program in
+  List.iter
+    (fun hugepages ->
+      let core = Uarch.Core.create { Uarch.Core.default_config with hugepages } in
+      check_slope
+        (if hugepages then "uarch (2M)" else "uarch (4K)")
+        (allocation_slope image ~drain:(Uarch.Core.consume core)))
+    [ false; true ]
 
 let suite =
   [
@@ -241,4 +255,6 @@ let suite =
     Alcotest.test_case "step budget" `Quick test_step_budget;
     Alcotest.test_case "inline data not fetched" `Quick test_inline_data_not_fetched;
     Alcotest.test_case "steady-state allocation bounded" `Quick test_steady_state_allocation;
+    Alcotest.test_case "steady-state allocation bounded (uarch)" `Quick
+      test_steady_state_allocation_uarch;
   ]

@@ -51,6 +51,54 @@ let test_cache_reset () =
   Uarch.Cache.reset c;
   check tb "cold after reset" false (Uarch.Cache.access c 4096)
 
+(* Reference model: per-set recency lists, most recent first. A miss
+   in a full set drops the least recent line, which is the line the
+   real cache's first-invalid-then-oldest-stamp victim rule evicts. *)
+let reference_cache (p : Uarch.Cache.params) =
+  let sets = Array.make p.sets [] in
+  let access addr =
+    let ln = addr / p.line_bytes in
+    let s = ln mod p.sets in
+    let hit = List.mem ln sets.(s) in
+    let rest = List.filter (( <> ) ln) sets.(s) in
+    sets.(s) <- List.filteri (fun i _ -> i < p.ways) (ln :: rest);
+    hit
+  in
+  (access, fun () -> Array.fill sets 0 p.sets [])
+
+(* A stream over about twice the cache's capacity (heavy reuse), with
+   bursts inside half of it; -1 is a [reset]. *)
+let cache_stream_arb =
+  QCheck.(
+    make
+      ~print:(fun ((p : Uarch.Cache.params), ops) ->
+        Printf.sprintf "sets=%d ways=%d line=%d ops=[%s]" p.sets p.ways p.line_bytes
+          (String.concat ";" (List.map string_of_int ops)))
+      Gen.(
+        let* sets = oneofl [ 1; 2; 4; 8 ] in
+        let* ways = int_range 1 16 in
+        let* line_bytes = oneofl [ 1; 2; 4; 8; 16; 32; 64 ] in
+        let cap = sets * ways * line_bytes in
+        let* ops =
+          list_size (int_range 0 400)
+            (frequency [ (1, return (-1)); (4, int_bound (cap / 2)); (6, int_bound (2 * cap)) ])
+        in
+        return ({ Uarch.Cache.sets; ways; line_bytes }, ops)))
+
+let cache_reference_law =
+  QCheck.Test.make ~count:300 ~name:"cache: hit/miss sequence equals reference LRU"
+    cache_stream_arb (fun (p, ops) ->
+      let c = Uarch.Cache.create p and ref_access, ref_reset = reference_cache p in
+      List.for_all
+        (fun op ->
+          if op < 0 then begin
+            Uarch.Cache.reset c;
+            ref_reset ();
+            true
+          end
+          else Uarch.Cache.access c op = ref_access op)
+        ops)
+
 (* --- TLB ---------------------------------------------------------- *)
 
 let test_tlb_4k () =
@@ -156,6 +204,212 @@ let test_core_hugepage_itlb () =
   let _, c2m = core_run ~hugepages:true program binary 30 in
   check tb "hugepages reduce iTLB misses" true (c2m.t1_itlb_miss <= c4k.t1_itlb_miss)
 
+(* Integer counters of the front-end model without the repeated-line
+   skip, in [counters_assoc] order: every line of every fetch probes
+   the L1i, the DSB's two windows and, on a page change, the iTLB. *)
+let reference_counters (cfg : Uarch.Core.config) events =
+  let l1 = Uarch.Cache.create cfg.l1i and l2 = Uarch.Cache.create cfg.l2
+  and l3 = Uarch.Cache.create cfg.l3 and dsb = Uarch.Dsb.create cfg.dsb
+  and btb = Uarch.Btb.create cfg.btb
+  and tlb = Uarch.Tlb.create ~page_scale_bits:cfg.page_scale_bits cfg.itlb ~hugepages:cfg.hugepages in
+  let n = Array.make 12 0 and last_page = ref (-1) in
+  let bump i = n.(i) <- n.(i) + 1 in
+  let miss i hit = if not hit then bump i in
+  List.iter
+    (function
+      | `Fetch (addr, len, insts) ->
+        n.(0) <- n.(0) + max 1 insts;
+        bump 1;
+        for ln = addr lsr 6 to (addr + len - 1) lsr 6 do
+          let a = ln lsl 6 in
+          let l1_hit = Uarch.Cache.access l1 a in
+          if Uarch.Tlb.page tlb a <> !last_page then begin
+            last_page := Uarch.Tlb.page tlb a;
+            if not (Uarch.Tlb.access tlb a) then (bump 5; miss 6 l1_hit)
+          end;
+          if not l1_hit then begin
+            bump 2;
+            if not (Uarch.Cache.access l2 a) then (bump 3; miss 4 (Uarch.Cache.access l3 a))
+          end;
+          miss 9 (Uarch.Dsb.access dsb a);
+          miss 9 (Uarch.Dsb.access dsb (a + 32))
+        done
+      | `Branch (src, kindc, taken) ->
+        if kindc = 0 then bump 10;
+        if taken then (bump 8; if Uarch.Btb.taken btb ~src then bump 7)
+      | `Dmiss -> bump 11)
+    events;
+  Array.to_list n
+
+let tape_of events =
+  let t = Exec.Event.create_tape () in
+  List.iteri
+    (fun i ev ->
+      let tag, a, b, c =
+        match ev with
+        | `Fetch (addr, len, insts) -> (Exec.Event.tag_fetch, addr, len, insts)
+        | `Branch (src, kindc, taken) ->
+          ( Exec.Event.tag_branch,
+            src,
+            src + 16,
+            Exec.Event.encode_branch_meta ~kind:(Exec.Event.kind_of_int kindc) ~taken )
+        | `Dmiss -> (Exec.Event.tag_dmiss, 0, 0, 0)
+      in
+      Bytes.set t.Exec.Event.tags i tag;
+      t.a.(i) <- a;
+      t.b.(i) <- b;
+      t.c.(i) <- c)
+    events;
+  t.len <- List.length events;
+  t
+
+let tiny_config =
+  {
+    Uarch.Core.default_config with
+    l1i = { Uarch.Cache.sets = 4; ways = 2; line_bytes = 64 };
+    l2 = { Uarch.Cache.sets = 8; ways = 2; line_bytes = 64 };
+    l3 = { Uarch.Cache.sets = 16; ways = 2; line_bytes = 64 };
+    itlb = { Uarch.Tlb.entries_4k = 4; ways_4k = 2; entries_2m = 2 };
+    btb = { Uarch.Btb.entries = 8; ways = 2 };
+    page_scale_bits = 7;
+  }
+
+(* DSB shapes around the repeated-line skip's exactness guard: one set
+   with room for both windows of a line, one 1-way set (skip off), 16B
+   windows whose probed pair lands in distinct sets or in one 1-way set
+   (skip off), and 64B windows. *)
+let dsb_shapes =
+  [
+    Uarch.Dsb.skylake;
+    { Uarch.Dsb.windows = 8; ways = 8; window_bytes = 32 };
+    { Uarch.Dsb.windows = 1; ways = 1; window_bytes = 32 };
+    { Uarch.Dsb.windows = 4; ways = 1; window_bytes = 16 };
+    { Uarch.Dsb.windows = 2; ways = 1; window_bytes = 16 };
+    { Uarch.Dsb.windows = 2; ways = 2; window_bytes = 64 };
+  ]
+
+(* Fetches over 48 KiB that often restart at, or overlap, the previous
+   fetch's last line; zero-length fetches included. A [`Near d] fetch
+   starts [d] bytes after the previous fetch's end. *)
+let tape_arb =
+  QCheck.(
+    make
+      ~print:(fun ((tiny, dsb, huge), evs) ->
+        Printf.sprintf "tiny=%b dsb=%d huge=%b events=[%s]" tiny dsb huge
+          (String.concat ";"
+             (List.map
+                (function
+                  | `Near (d, l, _) -> Printf.sprintf "near(%d,%d)" d l
+                  | `At (x, l, _) -> Printf.sprintf "at(%d,%d)" x l
+                  | `Branch (s, k, tk) -> Printf.sprintf "br(%d,%d,%b)" s k tk
+                  | `Dmiss -> "dmiss")
+                evs)))
+      Gen.(
+        let* shape = triple bool (int_bound (List.length dsb_shapes - 1)) bool in
+        let len = frequency [ (2, return 0); (5, int_range 1 130); (1, int_range 131 400) ] in
+        let* evs =
+          list_size (int_range 0 600)
+            (frequency
+               [
+                 (4, map3 (fun d l i -> `Near (d, l, i)) (int_range (-80) 8) len (int_bound 40));
+                 (2, map3 (fun x l i -> `At (x, l, i)) (int_bound 49151) len (int_bound 40));
+                 (3, map3 (fun s k t -> `Branch (s, k, t)) (int_bound 49151) (int_bound 4) bool);
+                 (1, return `Dmiss);
+               ])
+        in
+        return (shape, evs)))
+
+let tape_equivalence_law =
+  QCheck.Test.make ~count:200 ~name:"core: consume = sink replay = unskipped reference"
+    tape_arb (fun ((tiny, dsb, hugepages), raw) ->
+      let base = 0x10000 in
+      let _, events =
+        List.fold_left_map
+          (fun prev_end ev ->
+            match ev with
+            | `Near (d, len, insts) ->
+              let addr = max base (prev_end + d) in
+              (addr + len, `Fetch (addr, len, insts))
+            | `At (x, len, insts) -> (base + x + len, `Fetch (base + x, len, insts))
+            | `Branch (x, k, t) -> (prev_end, `Branch (base + x, k, t))
+            | `Dmiss -> (prev_end, `Dmiss))
+          base raw
+      in
+      let config =
+        { (if tiny then tiny_config else Uarch.Core.default_config) with
+          dsb = List.nth dsb_shapes dsb; hugepages }
+      in
+      let tape = tape_of events in
+      let fast = Uarch.Core.create config and slow = Uarch.Core.create config in
+      (* A reset in between must forget the last fetched line. *)
+      Uarch.Core.consume fast tape;
+      Uarch.Core.reset fast;
+      Uarch.Core.consume fast tape;
+      Exec.Event.replay tape (Uarch.Core.sink slow);
+      let cf = Uarch.Core.counters fast in
+      cf = Uarch.Core.counters slow
+      && List.map snd (Uarch.Core.counters_assoc cf) = reference_counters config events)
+
+(* --- Golden counters ------------------------------------------- *)
+
+(* The full counter record, cycles included, of 505.mcf's base and
+   Propeller-optimized binaries at 40 requests, and of the base binary
+   under a small hugepage iTLB. Any change to a hit/miss decision of
+   the front-end model moves one of these. *)
+let render (c : Uarch.Core.counters) =
+  String.concat " "
+    (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (Uarch.Core.counters_assoc c)
+    @ [ Printf.sprintf "cycles=%h" c.cycles ])
+
+let counters_t = Alcotest.testable (fun ppf c -> Format.pp_print_string ppf (render c)) ( = )
+
+let golden_base =
+  { Uarch.Core.instructions = 1280997; fetch_events = 217689; i1_l1i_miss = 346;
+    i2_l2_code_miss = 346; i3_l3_code_miss = 346; t1_itlb_miss = 11; t2_itlb_stall_miss = 11;
+    b1_baclears = 512; b2_taken_branches = 80798; dsb_misses = 7776; cond_branches = 163014;
+    dmisses = 101; cycles = 0x1.cc8a9p+18 }
+
+let golden_opt =
+  { golden_base with
+    instructions = 1283293; i1_l1i_miss = 331; i2_l2_code_miss = 331; i3_l3_code_miss = 331;
+    b1_baclears = 509; b2_taken_branches = 79031; dsb_misses = 6972; cycles = 0x1.c804dp+18 }
+
+let golden_huge =
+  { golden_base with t1_itlb_miss = 1087; t2_itlb_stall_miss = 9; cycles = 0x1.df615p+18 }
+
+let test_core_golden_mcf () =
+  let program = Progen.Generate.program (Option.get (Progen.Suite.by_name "505.mcf")) in
+  let env = Buildsys.Driver.make_env () in
+  let base = (Propeller.Pipeline.baseline_build ~env ~program ~name:"gb").binary in
+  let opt =
+    Propeller.Pipeline.optimized_binary
+      (Propeller.Pipeline.run
+         ~config:
+           {
+             Propeller.Pipeline.default_config with
+             profile_run = { Exec.Interp.default_config with requests = 40 };
+           }
+         ~env ~program ~name:"go" ())
+  in
+  let simulate ?(config = Uarch.Core.default_config) binary =
+    let core = Uarch.Core.create config in
+    let (_ : Exec.Interp.stats) =
+      Exec.Interp.run_tape (Exec.Image.build program binary)
+        { Exec.Interp.default_config with requests = 40 }
+        ~drain:(Uarch.Core.consume core)
+    in
+    Uarch.Core.counters core
+  in
+  check counters_t "base" golden_base (simulate base);
+  check counters_t "optimized" golden_opt (simulate opt);
+  (* 16 KiB pages and 2 entries: mcf's text spans 3 pages, so the
+     hugepage side evicts. *)
+  let huge =
+    { Uarch.Core.default_config with
+      hugepages = true; page_scale_bits = 7; itlb = { Uarch.Tlb.skylake with entries_2m = 2 } }
+  in
+  check counters_t "hugepage" golden_huge (simulate ~config:huge base)
+
 (* --- Heatmap ------------------------------------------------------ *)
 
 let test_heatmap_accumulates () =
@@ -188,6 +442,7 @@ let suite =
     Alcotest.test_case "cache: capacity" `Quick test_cache_capacity;
     Alcotest.test_case "cache: LRU eviction" `Quick test_cache_lru;
     Alcotest.test_case "cache: reset" `Quick test_cache_reset;
+    QCheck_alcotest.to_alcotest cache_reference_law;
     Alcotest.test_case "tlb: 4k pages" `Quick test_tlb_4k;
     Alcotest.test_case "tlb: hugepage reach" `Quick test_tlb_2m_reach;
     Alcotest.test_case "tlb: page scaling" `Quick test_tlb_page_scaling;
@@ -196,5 +451,7 @@ let suite =
     Alcotest.test_case "core: counter sanity" `Quick test_core_counter_sanity;
     Alcotest.test_case "core: deterministic" `Quick test_core_counters_deterministic;
     Alcotest.test_case "core: hugepage iTLB" `Quick test_core_hugepage_itlb;
+    Alcotest.test_case "core: golden mcf counters" `Quick test_core_golden_mcf;
+    QCheck_alcotest.to_alcotest tape_equivalence_law;
     Alcotest.test_case "heatmap" `Quick test_heatmap_accumulates;
   ]
