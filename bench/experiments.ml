@@ -10,10 +10,10 @@ let scale_of (wb : Workbench.t) = wb.spec.scale
 (* ------------------------------------------------------------------ *)
 (* Table 2: benchmark characteristics.                                  *)
 
-let table2 () =
+let table2 ctx =
   Report.print_title "Table 2: Benchmark characteristics (generated vs paper)";
   let row (spec : Progen.Spec.t) =
-    let wb = Workbench.get spec in
+    let wb = Workbench.get ~ctx spec in
     let text = Linker.Binary.text_bytes wb.base.binary in
     let funcs = Ir.Program.num_funcs wb.program in
     let bbs = Ir.Program.num_blocks wb.program in
@@ -52,10 +52,10 @@ let table2 () =
 (* ------------------------------------------------------------------ *)
 (* Table 3: performance improvements over PGO+ThinLTO.                  *)
 
-let table3 () =
+let table3 ctx =
   Report.print_title "Table 3: Performance improvement over PGO+ThinLTO baseline";
   let row (spec : Progen.Spec.t) =
-    let wb = Workbench.get spec in
+    let wb = Workbench.get ~ctx spec in
     let prop = Workbench.improvement_pct wb Workbench.Prop in
     let bolt =
       if wb.bolt.startup_ok then Report.pct (Workbench.improvement_pct wb Workbench.Bolt)
@@ -82,10 +82,10 @@ let profile_window (spec : Progen.Spec.t) =
   | "bigtable" -> 43.0
   | _ -> 8.0
 
-let table5 () =
+let table5 ctx =
   Report.print_title "Table 5: Build phases, minutes (model outputs at paper-equivalent scale)";
   let row (spec : Progen.Spec.t) =
-    let wb = Workbench.get spec in
+    let wb = Workbench.get ~ctx spec in
     (* Paper-equivalent programs are [scale]x bigger on the same worker
        pool, so build makespans and conversion scale linearly. *)
     let scale = float_of_int (scale_of wb) in
@@ -118,8 +118,8 @@ let table5 () =
 (* ------------------------------------------------------------------ *)
 (* Fig 4: peak memory, profile conversion + WPA.                        *)
 
-let fig4_row (spec : Progen.Spec.t) =
-  let wb = Workbench.get spec in
+let fig4_row ~ctx (spec : Progen.Spec.t) =
+  let wb = Workbench.get ~ctx spec in
   let s = scale_of wb in
   let profile_bytes = Perfmon.Lbr.raw_bytes Perfmon.Lbr.default_config wb.prop.profile in
   let prop_mem =
@@ -133,21 +133,21 @@ let fig4_row (spec : Progen.Spec.t) =
   [ spec.name; Report.bytes prop_mem; Report.bytes bolt_mem;
     Printf.sprintf "%.1fx" (float_of_int bolt_mem /. float_of_int prop_mem) ]
 
-let fig4 () =
+let fig4 ctx =
   Report.print_title
     "Fig 4: Peak memory, profile conversion + whole-program analysis (paper-equivalent)";
   Report.print_table
     ~header:[ "Benchmark"; "Propeller (Phase 3)"; "BOLT (perf2bolt)"; "BOLT/Prop" ]
-    (List.map fig4_row (large ()));
+    (List.map (fig4_row ~ctx) (large ()));
   Report.print_table
     ~header:[ "Benchmark"; "Propeller (Phase 3)"; "BOLT (perf2bolt)"; "BOLT/Prop" ]
-    (List.map fig4_row (spec2017 ()))
+    (List.map (fig4_row ~ctx) (spec2017 ()))
 
 (* ------------------------------------------------------------------ *)
 (* Fig 5: peak memory of code layout + relink vs BOLT opt vs base link. *)
 
-let fig5_row (spec : Progen.Spec.t) =
-  let wb = Workbench.get spec in
+let fig5_row ~ctx (spec : Progen.Spec.t) =
+  let wb = Workbench.get ~ctx spec in
   let s = scale_of wb in
   let scale_link (st : Linker.Link.stats) =
     Linker.Costmodel.peak_mem ~input_bytes:(st.input_bytes * s)
@@ -170,17 +170,17 @@ let fig5_row (spec : Progen.Spec.t) =
   in
   [ spec.name; Report.bytes base_mem; Report.bytes prop_mem; Report.bytes bolt_mem ]
 
-let fig5 () =
+let fig5 ctx =
   Report.print_title
     "Fig 5: Peak memory, Phase 4 relink vs BOLT optimization vs baseline link (paper-equivalent)";
   Report.print_table
     ~header:[ "Benchmark"; "Baseline link"; "Propeller relink"; "BOLT (llvm-bolt, lite)" ]
-    (List.map fig5_row (large () @ spec2017 ()))
+    (List.map (fig5_row ~ctx) (large () @ spec2017 ()))
 
 (* ------------------------------------------------------------------ *)
 (* Fig 6: binary size breakdown.                                        *)
 
-let fig6 () =
+let fig6 ctx =
   Report.print_title "Fig 6: Section size breakdown, normalized to baseline total (=100)";
   let breakdown binary =
     let k kind = Linker.Binary.size_of_kind binary kind in
@@ -196,7 +196,7 @@ let fig6 () =
   in
   List.iter
     (fun (spec : Progen.Spec.t) ->
-      let wb = Workbench.get spec in
+      let wb = Workbench.get ~ctx spec in
       let base_total = float_of_int (Linker.Binary.total_size wb.base.binary) in
       let row name binary =
         let text, eh, map, rela, other = breakdown binary in
@@ -219,9 +219,9 @@ let fig6 () =
 (* ------------------------------------------------------------------ *)
 (* Fig 7: instruction access heat maps (clang).                         *)
 
-let fig7 () =
+let fig7 ctx =
   Report.print_title "Fig 7: Instruction-access heat maps, clang (address x time)";
-  let wb = Workbench.get Progen.Suite.clang in
+  let wb = Workbench.get ~ctx Progen.Suite.clang in
   let render variant label =
     let binary = Workbench.binary wb variant in
     let hm =
@@ -230,7 +230,7 @@ let fig7 () =
     in
     let image = Exec.Image.build wb.program binary in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image (Workbench.interp_config wb.spec) (Uarch.Heatmap.sink hm)
+      Exec.Interp.run ~ctx image (Workbench.interp_config wb.spec) (Uarch.Heatmap.sink hm)
     in
     Printf.printf "\n%s (address span %s, touched rows %d/24):\n%s"
       label
@@ -245,10 +245,10 @@ let fig7 () =
 (* ------------------------------------------------------------------ *)
 (* Fig 8: performance counters, normalized to baseline = 100.           *)
 
-let fig8 () =
+let fig8 ctx =
   Report.print_title "Fig 8: Performance counters, normalized to baseline (=100, lower is better)";
   let table (spec : Progen.Spec.t) =
-    let wb = Workbench.get spec in
+    let wb = Workbench.get ~ctx spec in
     let b = (Workbench.measure wb Workbench.Base).counters in
     let p = (Workbench.measure wb Workbench.Prop).counters in
     let o = (Workbench.measure wb Workbench.Bolt).counters in
@@ -279,10 +279,10 @@ let fig8 () =
 (* ------------------------------------------------------------------ *)
 (* Fig 9: optimization run time.                                        *)
 
-let fig9 () =
+let fig9 ctx =
   Report.print_title "Fig 9: Optimization run time (backends + link), normalized to baseline = 100";
   let row (spec : Progen.Spec.t) =
-    let wb = Workbench.get spec in
+    let wb = Workbench.get ~ctx spec in
     let base_backends = wb.base.codegen_report.wall_seconds in
     let base_link = wb.base.link_stats.cpu_seconds in
     let base = base_backends +. base_link in
@@ -304,9 +304,9 @@ let fig9 () =
     ~header:[ "Benchmark"; "Base"; "Propeller(Phase4)"; "BOLT"; "hot objs"; "cache hit" ]
     (List.map row (large () @ spec2017 ()));
   (* Cache ablation: Phase 4 against a cold cache. *)
-  let wb = Workbench.get Progen.Suite.clang in
+  let wb = Workbench.get ~ctx Progen.Suite.clang in
   let cg, ld = Propeller.Pipeline.optimize_options ~hugepages:false wb.prop.wpa in
-  let cold_env = Buildsys.Driver.make_env () in
+  let cold_env = Buildsys.Driver.make_env ~ctx () in
   let cold =
     Buildsys.Driver.build cold_env ~name:"clang.cold" ~program:wb.program ~codegen_options:cg
       ~link_options:ld
@@ -319,10 +319,10 @@ let fig9 () =
 (* ------------------------------------------------------------------ *)
 (* SPEC 2017 sweep (5.4).                                               *)
 
-let spec_sweep () =
+let spec_sweep ctx =
   Report.print_title "SPEC2017: performance and branch/i-cache effects (5.4)";
   let row (spec : Progen.Spec.t) =
-    let wb = Workbench.get spec in
+    let wb = Workbench.get ~ctx spec in
     let b = (Workbench.measure wb Workbench.Base).counters in
     let p = (Workbench.measure wb Workbench.Prop).counters in
     let o = (Workbench.measure wb Workbench.Bolt).counters in
@@ -345,9 +345,9 @@ let spec_sweep () =
 (* ------------------------------------------------------------------ *)
 (* Ablation 4.6: function splitting mechanisms.                         *)
 
-let ablation_split () =
+let ablation_split ctx =
   Report.print_title "Ablation (4.6): function splitting - bb sections vs call-based heuristic";
-  let wb = Workbench.get Progen.Suite.clang in
+  let wb = Workbench.get ~ctx Progen.Suite.clang in
   let run_variant label plans split_count =
     (* Unmatched .cold entries in the ordering file are harmless: the
        linker skips symbols with no section. *)
@@ -360,7 +360,7 @@ let ablation_split () =
     let image = Exec.Image.build wb.program build.binary in
     let core = Uarch.Core.create (Workbench.core_config wb.spec) in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image (Workbench.interp_config wb.spec) (Uarch.Core.sink core)
+      Exec.Interp.run ~ctx image (Workbench.interp_config wb.spec) (Uarch.Core.sink core)
     in
     let c = Uarch.Core.counters core in
     (label, split_count, c)
@@ -458,12 +458,12 @@ let ablation_split () =
 (* ------------------------------------------------------------------ *)
 (* Extension 3.5: profile-guided post-link software prefetch.           *)
 
-let ablation_prefetch () =
+let ablation_prefetch ctx =
   Report.print_title
     "Extension (3.5): profile-guided post-link software prefetch insertion (mysql)";
-  let wb = Workbench.get Progen.Suite.mysql in
+  let wb = Workbench.get ~ctx Progen.Suite.mysql in
   let run prefetch =
-    let env = Buildsys.Driver.make_env () in
+    let env = Buildsys.Driver.make_env ~ctx () in
     Propeller.Pipeline.run
       ~config:{ (Workbench.pipeline_config wb.spec) with prefetch }
       ~env ~program:wb.program ~name:"mysql.pf" ()
@@ -472,7 +472,9 @@ let ablation_prefetch () =
   let measure (r : Propeller.Pipeline.result) =
     let image = Exec.Image.build wb.program (Propeller.Pipeline.optimized_binary r) in
     let core = Uarch.Core.create (Workbench.core_config wb.spec) in
-    let stats = Exec.Interp.run image (Workbench.interp_config wb.spec) (Uarch.Core.sink core) in
+    let stats =
+      Exec.Interp.run ~ctx image (Workbench.interp_config wb.spec) (Uarch.Core.sink core)
+    in
     (stats, Uarch.Core.counters core)
   in
   let s0, c0 = measure plain in
@@ -499,12 +501,12 @@ let ablation_prefetch () =
 (* ------------------------------------------------------------------ *)
 (* Ablation 4.6: a second round of hardware profiling.                  *)
 
-let ablation_rounds () =
+let ablation_rounds ctx =
   Report.print_title
     "Ablation (4.6): additional round of hardware profiling (clang)";
-  let wb = Workbench.get Progen.Suite.clang in
+  let wb = Workbench.get ~ctx Progen.Suite.clang in
   (* Fresh env: run_rounds rebuilds metadata binaries per round. *)
-  let env = Buildsys.Driver.make_env () in
+  let env = Buildsys.Driver.make_env ~ctx () in
   let rounds =
     Propeller.Pipeline.run_rounds ~rounds:2
       ~config:(Workbench.pipeline_config wb.spec)
@@ -519,7 +521,7 @@ let ablation_rounds () =
         in
         let core = Uarch.Core.create (Workbench.core_config wb.spec) in
         let (_ : Exec.Interp.stats) =
-          Exec.Interp.run image (Workbench.interp_config wb.spec) (Uarch.Core.sink core)
+          Exec.Interp.run ~ctx image (Workbench.interp_config wb.spec) (Uarch.Core.sink core)
         in
         let c = Uarch.Core.counters core in
         [
@@ -537,19 +539,19 @@ let ablation_rounds () =
 (* ------------------------------------------------------------------ *)
 (* Ablation 4.7: intra vs inter-procedural layout.                      *)
 
-let ablation_inter () =
+let ablation_inter ctx =
   Report.print_title "Ablation (4.7): intra-function vs inter-procedural layout (clang)";
-  let wb = Workbench.get Progen.Suite.clang in
+  let wb = Workbench.get ~ctx Progen.Suite.clang in
   let t0 = Unix.gettimeofday () in
   let wpa_intra =
-    Propeller.Wpa.analyze ~config:Propeller.Wpa.default_config
+    Propeller.Wpa.analyze ~config:Propeller.Wpa.default_config ~ctx
       ~profile:(Propeller.Wpa.Lbr wb.prop.profile) ~binary:wb.prop.metadata_build.binary ()
   in
   let t1 = Unix.gettimeofday () in
   let wpa_inter =
     Propeller.Wpa.analyze
       ~config:{ Propeller.Wpa.default_config with mode = Propeller.Wpa.Interproc }
-      ~profile:(Propeller.Wpa.Lbr wb.prop.profile) ~binary:wb.prop.metadata_build.binary ()
+      ~ctx ~profile:(Propeller.Wpa.Lbr wb.prop.profile) ~binary:wb.prop.metadata_build.binary ()
   in
   let t2 = Unix.gettimeofday () in
   let build label wpa =
@@ -561,7 +563,7 @@ let ablation_inter () =
     let image = Exec.Image.build wb.program b.binary in
     let core = Uarch.Core.create (Workbench.core_config wb.spec) in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image (Workbench.interp_config wb.spec) (Uarch.Core.sink core)
+      Exec.Interp.run ~ctx image (Workbench.interp_config wb.spec) (Uarch.Core.sink core)
     in
     Uarch.Core.counters core
   in
@@ -589,9 +591,9 @@ let ablation_inter () =
 (* ------------------------------------------------------------------ *)
 (* Ablation 4.1: cluster sections vs one section per block.             *)
 
-let ablation_clusters () =
+let ablation_clusters ctx =
   Report.print_title "Ablation (4.1): bb clusters vs one section per basic block (clang)";
-  let wb = Workbench.get Progen.Suite.clang in
+  let wb = Workbench.get ~ctx Progen.Suite.clang in
   let explode (p : Codegen.Directive.func_plan) =
     let blocks = List.concat_map (fun (c : Codegen.Directive.cluster) -> c.blocks) p.clusters in
     let clusters =
@@ -621,7 +623,7 @@ let ablation_clusters () =
   let build label plans ordering =
     let wpa = { wb.prop.wpa with plans; ordering } in
     let cg, ld = Propeller.Pipeline.optimize_options ~hugepages:false wpa in
-    let env = Buildsys.Driver.make_env () in
+    let env = Buildsys.Driver.make_env ~ctx () in
     Buildsys.Driver.build env ~name:("clang." ^ label) ~program:wb.program ~codegen_options:cg
       ~link_options:ld
   in
@@ -645,7 +647,7 @@ let ablation_clusters () =
 (* Layout-policy tournament: cycle-fitness search vs Ext-TSP            *)
 (* (AI-PROPELLER setup from PAPERS.md), per progen shape.               *)
 
-let layout_search () =
+let layout_search ctx =
   Report.print_title
     "Layout search: cycle-fitness policy tournament vs Ext-TSP (per progen shape)";
   let shapes = [ "505.mcf"; "548.exchange2"; "531.deepsjeng" ] in
@@ -656,7 +658,7 @@ let layout_search () =
           { (Option.get (Progen.Suite.by_name name)) with Progen.Spec.requests = 40 }
         in
         let program = Progen.Generate.program spec in
-        let ctx = Support.Ctx.create ~recorder:(Obs.Recorder.create ()) () in
+        let ctx = Support.Ctx.with_recorder ctx (Obs.Recorder.create ()) in
         let res =
           Diagnostics.Lsearch.analyze
             ~pipeline:(Workbench.pipeline_config spec)

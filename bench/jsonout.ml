@@ -230,7 +230,9 @@ let selfspeed_json (spec : Progen.Spec.t) =
       in
       let image = Exec.Image.build program (Propeller.Pipeline.optimized_binary cold) in
       let t1 = Unix.gettimeofday () in
-      let stats = Exec.Interp.run image (Workbench.interp_config spec) Exec.Event.null in
+      let stats =
+        Exec.Interp.run ~ctx:env.ctx image (Workbench.interp_config spec) Exec.Event.null
+      in
       let interp_s = Unix.gettimeofday () -. t1 in
       let per_sec dur n = if dur > 0.0 then float_of_int n /. dur else 0.0 in
       Obs.Json.Obj
@@ -326,8 +328,8 @@ let layout_search_json (spec : Progen.Spec.t) =
   in
   Diagnostics.Lsearch.to_json res
 
-let benchmark_json ?(jobs_sweep = []) (spec : Progen.Spec.t) =
-  let wb = Workbench.get spec in
+let benchmark_json ~ctx ?(jobs_sweep = []) (spec : Progen.Spec.t) =
+  let wb = Workbench.get ~ctx spec in
   let prop_pct = Workbench.improvement_pct wb Workbench.Prop in
   let bolt_ok = wb.bolt.Boltsim.Driver.startup_ok in
   let bolt_pct = if bolt_ok then Some (Workbench.improvement_pct wb Workbench.Bolt) else None in
@@ -386,13 +388,13 @@ let geomean_pct pcts =
     let ratios = List.map (fun p -> 1.0 +. (p /. 100.0)) pcts in
     Some ((Support.Stats.geomean ratios -. 1.0) *. 100.0)
 
-let emit ?(jobs_sweep = []) ~file ~specs ~requests () =
+let emit ~ctx ?(jobs_sweep = []) ~file ~specs ~requests () =
   let specs =
     match requests with
     | None -> specs
     | Some r -> List.map (fun (s : Progen.Spec.t) -> { s with Progen.Spec.requests = r }) specs
   in
-  let rows = List.map (benchmark_json ~jobs_sweep) specs in
+  let rows = List.map (benchmark_json ~ctx ~jobs_sweep) specs in
   let prop_pcts = List.map (fun (_, p, _) -> p) rows in
   let bolt_pcts = List.filter_map (fun (_, _, b) -> b) rows in
   let opt_float = function Some f -> Obs.Json.Float f | None -> Obs.Json.Null in
@@ -412,7 +414,7 @@ let emit ?(jobs_sweep = []) ~file ~specs ~requests () =
               ("jobs_sweep", Obs.Json.List (List.map (fun j -> Obs.Json.Int j) jobs_sweep));
             ] );
         ("benchmarks", Obs.Json.List (List.map (fun (j, _, _) -> j) rows));
-        ("micro", Micro.json ());
+        ("micro", Micro.json ~ctx);
         ( "summary",
           Obs.Json.Obj
             [

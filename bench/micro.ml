@@ -42,53 +42,44 @@ let hfsort_test =
   Test.make ~name:"hfsort_2000_funcs"
     (Staged.stage (fun () -> ignore (Layout.Hfsort.order problem)))
 
-let mcf_artifacts =
-  lazy
-    (let spec = Option.get (Progen.Suite.by_name "505.mcf") in
-     let program = Progen.Generate.program spec in
-     let objs =
-       Codegen.compile_program { Codegen.default_options with emit_bb_addr_map = true } program
-     in
-     let { Linker.Link.binary; _ } =
-       Linker.Link.link
-         ~options:{ Linker.Link.default_options with keep_bb_addr_map = true }
-         ~name:"mcf" ~entry:"main" objs
-     in
-     let image = Exec.Image.build program binary in
-     let profile = Perfmon.Lbr.create_profile () in
-     let (_ : Exec.Interp.stats) =
-       Exec.Interp.run image
-         { Exec.Interp.default_config with requests = 50 }
-         (Perfmon.Lbr.collector Perfmon.Lbr.default_config profile)
-     in
-     (program, objs, binary, image, profile))
+(* The mcf fixture the mcf kernels share: objects, the metadata
+   binary, its image and a 50-request LBR profile. *)
+let mcf_artifacts ~ctx =
+  let spec = Option.get (Progen.Suite.by_name "505.mcf") in
+  let program = Progen.Generate.program spec in
+  let objs =
+    Codegen.compile_program ~ctx { Codegen.default_options with emit_bb_addr_map = true } program
+  in
+  let { Linker.Link.binary; _ } =
+    Linker.Link.link ~ctx
+      ~options:{ Linker.Link.default_options with keep_bb_addr_map = true }
+      ~name:"mcf" ~entry:"main" objs
+  in
+  let image = Exec.Image.build program binary in
+  let profile = Perfmon.Lbr.create_profile () in
+  let (_ : Exec.Interp.stats) =
+    Exec.Interp.run ~ctx image
+      { Exec.Interp.default_config with requests = 50 }
+      (Perfmon.Lbr.collector Perfmon.Lbr.default_config profile)
+  in
+  (objs, binary, image, profile)
 
-let link_test =
-  Test.make ~name:"link_relax_mcf"
-    (Staged.stage (fun () ->
-         let _, objs, _, _, _ = Lazy.force mcf_artifacts in
-         ignore (Linker.Link.link ~name:"mcf" ~entry:"main" objs)))
-
-let dcfg_test =
-  Test.make ~name:"dcfg_build_mcf"
-    (Staged.stage (fun () ->
-         let _, _, binary, _, profile = Lazy.force mcf_artifacts in
-         ignore (Propeller.Dcfg.build ~profile ~binary)))
-
-let wpa_test =
-  Test.make ~name:"wpa_analyze_mcf"
-    (Staged.stage (fun () ->
-         let _, _, binary, _, profile = Lazy.force mcf_artifacts in
-         ignore (Propeller.Wpa.analyze ~profile:(Propeller.Wpa.Lbr profile) ~binary ())))
-
-let exec_test =
-  Test.make ~name:"exec_50_requests_mcf"
-    (Staged.stage (fun () ->
-         let _, _, _, image, _ = Lazy.force mcf_artifacts in
-         ignore
-           (Exec.Interp.run image
-              { Exec.Interp.default_config with requests = 50 }
-              Exec.Event.null)))
+let mcf_tests ~ctx (objs, binary, image, profile) =
+  [
+    Test.make ~name:"link_relax_mcf"
+      (Staged.stage (fun () -> ignore (Linker.Link.link ~ctx ~name:"mcf" ~entry:"main" objs)));
+    Test.make ~name:"dcfg_build_mcf"
+      (Staged.stage (fun () -> ignore (Propeller.Dcfg.build ~profile ~binary)));
+    Test.make ~name:"wpa_analyze_mcf"
+      (Staged.stage (fun () ->
+           ignore (Propeller.Wpa.analyze ~ctx ~profile:(Propeller.Wpa.Lbr profile) ~binary ())));
+    Test.make ~name:"exec_50_requests_mcf"
+      (Staged.stage (fun () ->
+           ignore
+             (Exec.Interp.run ~ctx image
+                { Exec.Interp.default_config with requests = 50 }
+                Exec.Event.null)));
+  ]
 
 (* The flat-data fast-path kernels (ISSUE 9). Each gets a bechamel
    entry below AND a lightweight self-timed measurement ([json]) that
@@ -121,50 +112,39 @@ let exttsp_score_kernel () =
 
 (* 8k uniformly random text-segment addresses against the mcf image —
    every resolution class (code, padding) gets exercised. *)
-let resolve_fixture =
-  lazy
-    (let _, _, binary, _, _ = Lazy.force mcf_artifacts in
-     let resolver = Inspect.Resolve.create binary in
-     let rng = Support.Rng.create 23L in
-     let lo = binary.Linker.Binary.text_start and hi = binary.Linker.Binary.text_end in
-     let addrs = Array.init 8192 (fun _ -> lo + Support.Rng.int rng (hi - lo)) in
-     (resolver, addrs))
-
-let resolve_batch_kernel () =
-  let resolver, addrs = Lazy.force resolve_fixture in
-  ignore (Inspect.Resolve.resolve_batch resolver addrs : int array)
+let resolve_batch_kernel (_, (binary : Linker.Binary.t), _, _) =
+  let resolver = Inspect.Resolve.create binary in
+  let rng = Support.Rng.create 23L in
+  let lo = binary.text_start and hi = binary.text_end in
+  let addrs = Array.init 8192 (fun _ -> lo + Support.Rng.int rng (hi - lo)) in
+  fun () -> ignore (Inspect.Resolve.resolve_batch resolver addrs : int array)
 
 (* The event tapes of two mcf requests, recorded once, drained through
    one warm front-end core (steady state: no reset between calls). *)
-let uarch_fixture =
-  lazy
-    (let _, _, _, image, _ = Lazy.force mcf_artifacts in
-     let tapes = ref [] in
-     let record (t : Exec.Event.tape) =
-       let n = t.len in
-       tapes :=
-         { t with
-           Exec.Event.tags = Bytes.sub t.tags 0 n;
-           a = Array.sub t.a 0 n;
-           b = Array.sub t.b 0 n;
-           c = Array.sub t.c 0 n }
-         :: !tapes
-     in
-     ignore
-       (Exec.Interp.run_tape image { Exec.Interp.default_config with requests = 2 } ~drain:record
-         : Exec.Interp.stats);
-     (Uarch.Core.create Uarch.Core.default_config, List.rev !tapes))
+let uarch_consume_kernel ~ctx (_, _, image, _) =
+  let tapes = ref [] in
+  let record (t : Exec.Event.tape) =
+    let n = t.len in
+    tapes :=
+      { t with
+        Exec.Event.tags = Bytes.sub t.tags 0 n;
+        a = Array.sub t.a 0 n;
+        b = Array.sub t.b 0 n;
+        c = Array.sub t.c 0 n }
+      :: !tapes
+  in
+  ignore
+    (Exec.Interp.run_tape ~ctx image { Exec.Interp.default_config with requests = 2 } ~drain:record
+      : Exec.Interp.stats);
+  let core = Uarch.Core.create Uarch.Core.default_config and tapes = List.rev !tapes in
+  fun () -> List.iter (Uarch.Core.consume core) tapes
 
-let uarch_consume_kernel () =
-  let core, tapes = Lazy.force uarch_fixture in
-  List.iter (Uarch.Core.consume core) tapes
-
-let fastpath_kernels =
+let fastpath_kernels ~ctx mcf =
   [
     ("lbr_bump_packed_8k", lbr_bump_kernel);
-    ("uarch_consume_mcf", uarch_consume_kernel);
+    ("uarch_consume_mcf", uarch_consume_kernel ~ctx mcf);
     ("exttsp_score_flat_1000", exttsp_score_kernel);
-    ("resolve_batch_mcf_8k", resolve_batch_kernel);
+    ("resolve_batch_mcf_8k", resolve_batch_kernel mcf);
   ]
 
 (* Median-of-3 batch averages on the wall clock: coarser than
@@ -183,7 +163,8 @@ let time_ns_per_call ?(batch = 30) f =
   | [ _; median; _ ] -> median
   | _ -> assert false
 
-let json () =
+let json ~ctx =
+  let mcf = mcf_artifacts ~ctx in
   Obs.Json.Obj
     [
       ( "kernels",
@@ -195,7 +176,7 @@ let json () =
                    ("name", Obs.Json.String name);
                    ("ns_per_call", Obs.Json.Float (time_ns_per_call f));
                  ])
-             fastpath_kernels) );
+             (fastpath_kernels ~ctx mcf)) );
     ]
 
 let pqueue_test =
@@ -209,7 +190,8 @@ let pqueue_test =
          let rec drain () = match Support.Pqueue.pop_max q with Some _ -> drain () | None -> () in
          drain ()))
 
-let tests () =
+let tests ~ctx =
+  let mcf = mcf_artifacts ~ctx in
   [
     exttsp_test "exttsp_pqueue_300" ~use_pqueue:true ~n:300;
     exttsp_test "exttsp_linear_300" ~use_pqueue:false ~n:300;
@@ -217,17 +199,11 @@ let tests () =
     exttsp_test "exttsp_linear_1000" ~use_pqueue:false ~n:1000;
     hfsort_test;
     pqueue_test;
-    link_test;
-    dcfg_test;
-    wpa_test;
-    exec_test;
-    Test.make ~name:"lbr_bump_packed_8k" (Staged.stage lbr_bump_kernel);
-    Test.make ~name:"uarch_consume_mcf" (Staged.stage uarch_consume_kernel);
-    Test.make ~name:"exttsp_score_flat_1000" (Staged.stage exttsp_score_kernel);
-    Test.make ~name:"resolve_batch_mcf_8k" (Staged.stage resolve_batch_kernel);
   ]
+  @ mcf_tests ~ctx mcf
+  @ List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) (fastpath_kernels ~ctx mcf)
 
-let run () =
+let run ctx =
   Report.print_title "Micro-benchmarks (bechamel; ns per run, OLS on monotonic clock)";
   let instances = Instance.[ monotonic_clock ] in
   (* stabilize=false: GC compaction between samples is prohibitively slow
@@ -236,7 +212,7 @@ let run () =
     Benchmark.cfg ~limit:100 ~quota:(Time.second 0.4) ~kde:None ~stabilize:false ()
   in
   let raw =
-    List.map (fun test -> Benchmark.all cfg instances test) (List.map (fun t -> t) (tests ()))
+    List.map (fun test -> Benchmark.all cfg instances test) (tests ~ctx)
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]

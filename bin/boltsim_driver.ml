@@ -13,7 +13,8 @@ let run benchmark requests lite =
   | Some spec ->
     let spec = match requests with Some r -> { spec with Progen.Spec.requests = r } | None -> spec in
     let program = Progen.Generate.program spec in
-    let env = Buildsys.Driver.make_env () in
+    let ctx = Support.Ctx.create () in
+    let env = Buildsys.Driver.make_env ~ctx () in
     let bm =
       Buildsys.Driver.build env ~name:(spec.name ^ ".bm") ~program
         ~codegen_options:Codegen.default_options
@@ -25,7 +26,7 @@ let run benchmark requests lite =
     let profile = Perfmon.Lbr.create_profile () in
     let c = Perfmon.Lbr.collector_state Perfmon.Lbr.default_config profile in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run_tape image
+      Exec.Interp.run_tape ~ctx image
         { Exec.Interp.default_config with requests = spec.requests }
         ~drain:(Perfmon.Lbr.consume c)
     in
@@ -39,7 +40,7 @@ let run benchmark requests lite =
     in
     let options = if lite then Boltsim.Driver.fast_options else Boltsim.Driver.perf_options in
     let r =
-      Boltsim.Driver.optimize ~options ~profile ~binary:bm.binary ~is_asm ~hazards
+      Boltsim.Driver.optimize ~options ~ctx ~profile ~binary:bm.binary ~is_asm ~hazards
         ~name:spec.name ()
     in
     Printf.printf "perf2bolt: %.1fs, peak %.2f GB (modelled)\n" r.conversion_seconds

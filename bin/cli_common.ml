@@ -14,8 +14,8 @@ let jobs_term =
     & opt (some int) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Domain pool width for per-function/per-unit fan-out (default \
-           \\$(b,PROPELLER_JOBS) or 1). Outputs are byte-identical for any N.")
+          "Domain pool width for per-function/per-unit fan-out (default 1). Outputs are \
+           byte-identical for any N.")
 
 let seed_term =
   Arg.(
@@ -101,10 +101,10 @@ let profile_source_term =
            weights are synthesized AutoFDO-style, no mispredict bits).")
 
 (* String-valued on purpose: Wpa.config stores the policy name and
-   resolves it against the registry at use, and the registry is the
+   resolves it against [Layout.Policy.all] at use, and that list is the
    single source of truth for what is valid. *)
 let layout_policy_conv =
-  enum_conv ~what:"layout policy" (List.map (fun n -> (n, n)) (Layout.Policy.names ()))
+  enum_conv ~what:"layout policy" (List.map (fun n -> (n, n)) Layout.Policy.names)
 
 let layout_policy_term =
   Arg.(
@@ -116,7 +116,7 @@ let layout_policy_term =
              "Block-layout policy for WPA. Valid values: %s. The default $(b,exttsp) is the \
               paper's Ext-TSP; the others are the pluggable alternatives the layout-search \
               harness tournaments over."
-             (String.concat ", " (Layout.Policy.names ()))))
+             (String.concat ", " Layout.Policy.names)))
 
 let benchmark_term =
   Arg.(value & opt string "505.mcf" & info [ "b"; "benchmark" ] ~doc:"Benchmark name (Table 2).")
@@ -166,17 +166,16 @@ let lookup_spec ~benchmark ~requests =
     | Some r -> { spec with Progen.Spec.requests = r }
     | None -> spec)
 
-(* Turn the shared flags into the run's execution context: validate and
-   apply --jobs to the global pool, parse --faults (exit 2 on a bad
-   spec), and let --seed override the plan's seed. *)
+(* Turn the shared flags into the run's one execution context: a fresh
+   recorder, a pool of --jobs width (validated), the --faults plan (exit
+   2 on a bad spec) with --seed overriding its seed. *)
 let context ?(jobs = None) ?(seed = None) ?(faults = None) ?(self_profile = false)
     ?(self_profile_out = None) () =
   (match jobs with
   | Some j when j < 1 ->
     Printf.eprintf "--jobs: expected a positive pool width, got %d\n" j;
     exit 2
-  | Some j -> Support.Pool.set_default_jobs j
-  | None -> ());
+  | Some _ | None -> ());
   let plan =
     match faults with
     | None -> None
@@ -190,7 +189,7 @@ let context ?(jobs = None) ?(seed = None) ?(faults = None) ?(self_profile = fals
         | Some s -> Some { p with Faultsim.Plan.seed = s }
         | None -> Some p))
   in
-  let ctx = Support.Ctx.create ?faults:plan () in
+  let ctx = Support.Ctx.create ?jobs ?faults:plan () in
   if self_profile || self_profile_out <> None then
     Obs.Recorder.enable_self_profile ctx.Support.Ctx.recorder;
   ctx

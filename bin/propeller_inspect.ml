@@ -17,6 +17,7 @@ open Cmdliner
 type variant = Base | Pm | Po
 
 type ctx = {
+  run : Support.Ctx.t;  (** The run's execution context. *)
   spec : Progen.Spec.t;
   program : Ir.Program.t;
   source : Perfmon.Source.t;
@@ -46,6 +47,7 @@ let make_ctx benchmark requests profile_source (common : Cli_common.common) quie
   Cli_common.export_self_profile (Buildsys.Driver.recorder env)
     ~self_profile:common.self_profile ~self_profile_out:common.self_profile_out;
   {
+    run = run_ctx;
     spec;
     program;
     source = profile_source;
@@ -64,14 +66,12 @@ let profile_of ctx binary =
   let run_config =
     { Exec.Interp.default_config with requests = ctx.spec.Progen.Spec.requests }
   in
-  (* [ctx] here is the inspection context, not a [Support.Ctx.t]; the
-     run stays on the global recorder's "exec:run" span. *)
   match ctx.source with
   | Perfmon.Source.Lbr ->
     let profile = Perfmon.Lbr.create_profile () in
     let c = Perfmon.Lbr.collector_state Perfmon.Lbr.default_config profile in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run_tape image run_config ~drain:(Perfmon.Lbr.consume c)
+      Exec.Interp.run_tape ~ctx:ctx.run image run_config ~drain:(Perfmon.Lbr.consume c)
     in
     profile
   | Perfmon.Source.Sampled ->
@@ -83,7 +83,7 @@ let profile_of ctx binary =
     end;
     let samples = Perfmon.Sampler.create_profile () in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image run_config
+      Exec.Interp.run ~ctx:ctx.run image run_config
         (Perfmon.Sampler.collector Perfmon.Sampler.default_config samples)
     in
     Propeller.Autofdo.synthesize ~samples ~program:ctx.program ~binary ()

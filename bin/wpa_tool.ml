@@ -15,7 +15,8 @@ let run benchmark requests cc_out ld_out =
   | Some spec ->
     let spec = match requests with Some r -> { spec with Progen.Spec.requests = r } | None -> spec in
     let program = Progen.Generate.program spec in
-    let env = Buildsys.Driver.make_env () in
+    let ctx = Support.Ctx.create () in
+    let env = Buildsys.Driver.make_env ~ctx () in
     let cg, ld = Propeller.Pipeline.metadata_options in
     let pm =
       Buildsys.Driver.build env ~name:(spec.name ^ ".pm") ~program ~codegen_options:cg
@@ -28,14 +29,16 @@ let run benchmark requests cc_out ld_out =
     let profile = Perfmon.Lbr.create_profile () in
     let c = Perfmon.Lbr.collector_state Perfmon.Lbr.default_config profile in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run_tape image
+      Exec.Interp.run_tape ~ctx image
         { Exec.Interp.default_config with requests = spec.requests }
         ~drain:(Perfmon.Lbr.consume c)
     in
     Printf.printf "profile: %d samples, %d records, ~%d raw bytes\n%!" profile.num_samples
       profile.num_records
       (Perfmon.Lbr.raw_bytes Perfmon.Lbr.default_config profile);
-    let wpa = Propeller.Wpa.analyze ~profile:(Propeller.Wpa.Lbr profile) ~binary:pm.binary () in
+    let wpa =
+      Propeller.Wpa.analyze ~ctx ~profile:(Propeller.Wpa.Lbr profile) ~binary:pm.binary ()
+    in
     Printf.printf "WPA: %d hot funcs, DCFG %d blocks / %d edges, score %.1f\n%!" wpa.hot_funcs
       wpa.dcfg_blocks wpa.dcfg_edges wpa.layout_score;
     let write path content =

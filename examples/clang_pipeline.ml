@@ -7,11 +7,11 @@
 
 let requests = 200
 
-let measure program binary =
+let measure ~ctx program binary =
   let image = Exec.Image.build program binary in
   let core = Uarch.Core.create Uarch.Core.default_config in
   let (_ : Exec.Interp.stats) =
-    Exec.Interp.run image { Exec.Interp.default_config with requests } (Uarch.Core.sink core)
+    Exec.Interp.run ~ctx image { Exec.Interp.default_config with requests } (Uarch.Core.sink core)
   in
   Uarch.Core.counters core
 
@@ -25,7 +25,8 @@ let () =
     (Ir.Program.num_funcs program) (Ir.Program.num_blocks program)
     (Ir.Program.code_bytes program);
 
-  let env = Buildsys.Driver.make_env () in
+  let ctx = Support.Ctx.create () in
+  let env = Buildsys.Driver.make_env ~ctx () in
   print_endline "building baseline (PGO + ThinLTO)...";
   let base = Propeller.Pipeline.baseline_build ~env ~program ~name:"clang" in
 
@@ -56,14 +57,14 @@ let () =
     | None -> false
   in
   let bolt =
-    Boltsim.Driver.optimize ~profile:prop.profile ~binary:bm.binary ~is_asm
+    Boltsim.Driver.optimize ~ctx ~profile:prop.profile ~binary:bm.binary ~is_asm
       ~hazards:Boltsim.Driver.no_hazards ~name:"clang" ()
   in
 
   print_endline "\nmeasuring (simulated Skylake front end):";
-  let cb = measure program base.binary in
-  let cp = measure program (Propeller.Pipeline.optimized_binary prop) in
-  let co = measure program bolt.binary in
+  let cb = measure ~ctx program base.binary in
+  let cp = measure ~ctx program (Propeller.Pipeline.optimized_binary prop) in
+  let co = measure ~ctx program bolt.binary in
   let row label (c : Uarch.Core.counters) =
     Printf.printf "  %-10s walltime=%.3e cycles  L1i=%d  iTLB=%d  taken=%d  (%+.2f%% vs base)\n"
       label c.cycles c.i1_l1i_miss c.t1_itlb_miss c.b2_taken_branches

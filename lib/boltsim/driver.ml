@@ -27,8 +27,8 @@ type result = {
   optimize_seconds : float;
 }
 
-let optimize ?(options = perf_options) ~profile ~(binary : Linker.Binary.t) ~is_asm ~hazards
-    ~name () =
+let optimize ?(options = perf_options) ~ctx ~profile ~(binary : Linker.Binary.t) ~is_asm
+    ~hazards ~name () =
   (* "perf2bolt": disassemble and aggregate the profile against the
      reconstructed CFG. *)
   let dcfg = Propeller.Dcfg.build_of_blocks ~profile ~binary in
@@ -91,7 +91,7 @@ let optimize ?(options = perf_options) ~profile ~(binary : Linker.Binary.t) ~is_
     end
     else List.map (fun (f, _, _) -> f) plans
   in
-  let rw = Rewrite.rewrite ~binary ~plans ~func_order ~peephole:options.peephole ~name in
+  let rw = Rewrite.rewrite ~ctx ~binary ~plans ~func_order ~peephole:options.peephole ~name in
   let text_bytes = Linker.Binary.text_bytes binary in
   let hot_text_bytes =
     List.fold_left

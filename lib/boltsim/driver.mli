@@ -40,12 +40,13 @@ type result = {
   optimize_seconds : float;  (** llvm-bolt run time (Fig 9). *)
 }
 
-(** [optimize ?options ~profile ~binary ~is_asm ~hazards ~name ()]:
+(** [optimize ?options ~ctx ~profile ~binary ~is_asm ~hazards ~name ()]:
     [binary] must be the relocations-retaining ("BM") build; [is_asm]
     flags functions whose disassembly would fail (hand-written
-    assembly). *)
+    assembly). The relink of the rewritten code records on [ctx]. *)
 val optimize :
   ?options:options ->
+  ctx:Support.Ctx.t ->
   profile:Perfmon.Lbr.profile ->
   binary:Linker.Binary.t ->
   is_asm:(string -> bool) ->

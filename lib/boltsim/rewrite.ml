@@ -53,7 +53,7 @@ let canonical_insts (binary : Linker.Binary.t) (info : Linker.Binary.block_info)
       (Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.Call _ | Isa.IndirectCall | Isa.Prefetch
       | Isa.Nop _ | Isa.InlineData _) -> explicit_ft (List.map long_form insts)
 
-let rewrite ~(binary : Linker.Binary.t) ~plans ~func_order ~peephole ~name =
+let rewrite ~ctx ~(binary : Linker.Binary.t) ~plans ~func_order ~peephole ~name =
   (* Group placed blocks by function, in old address order. *)
   let by_func : (string, Linker.Binary.block_info list ref) Hashtbl.t = Hashtbl.create 1024 in
   Hashtbl.iter
@@ -154,7 +154,7 @@ let rewrite ~(binary : Linker.Binary.t) ~plans ~func_order ~peephole ~name =
     }
   in
   let { Linker.Link.binary = linked; stats = _ } =
-    Linker.Link.link ~options ~name ~entry:binary.entry_symbol [ obj ]
+    Linker.Link.link ~ctx ~options ~name ~entry:binary.entry_symbol [ obj ]
   in
   (* The original text is retained as dead bytes below the new segment. *)
   let old_text =

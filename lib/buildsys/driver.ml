@@ -15,8 +15,7 @@ let pool env = env.ctx.Support.Ctx.pool
 (* Default pool models the distributed backend of a warehouse-scale
    build (paper §3.1): wide enough that codegen wall time is dominated
    by the longest unit, not by queueing. *)
-let make_env ?(workers = 256) ?mem_limit ?ctx () =
-  let ctx = match ctx with Some c -> c | None -> Support.Ctx.default () in
+let make_env ?(workers = 256) ?mem_limit ~ctx () =
   {
     obj_cache = Cache.create ();
     layout_cache = Cache.create ();
@@ -38,18 +37,6 @@ type fault_stats = {
   backoff_seconds : float;
 }
 
-let no_faults =
-  {
-    injected = 0;
-    retried = 0;
-    degraded = 0;
-    fallbacks = 0;
-    corrupt_evicted = 0;
-    stragglers = 0;
-    speculated = 0;
-    backoff_seconds = 0.0;
-  }
-
 type result = {
   binary : Linker.Binary.t;
   objs : Objfile.File.t list;
@@ -67,7 +54,9 @@ let tool_digest = Support.Digesting.of_string "propeller-backend-v1"
 (* Function IR digests are memoized structurally: units are immutable
    between builds, so the Phase-4 rebuild re-digests nothing. Key
    computation fans out across units on the pool, so the memo is
-   guarded by a mutex (writes are rare after the first build). *)
+   guarded by a mutex (writes are rare after the first build). Kept
+   process-wide because [unit_action_key] has no env to own it, and it
+   stays flat while the program is unchanged. *)
 let func_digests : (Ir.Func.t, Support.Digesting.t) Hashtbl.t =
   Hashtbl.create 1024
 
@@ -109,49 +98,6 @@ let unit_action_key (u : Ir.Cunit.t) (options : Codegen.options) =
         Support.Digesting.of_string flags;
         Support.Digesting.of_string (Codegen.Directive.to_text plans);
       ])
-
-(* Structural content digest of a stored object, recorded at cache-add
-   time and re-checked by verified reads. Only has to be deterministic
-   and sensitive to the object's shape — the rot we detect is a flipped
-   *stored* digest (Cache.corrupt), not adversarial tampering. *)
-let obj_digest_uncached (o : Objfile.File.t) =
-  Support.Digesting.of_string
-    (String.concat "|"
-       (o.name :: o.unit_name
-       :: string_of_bool o.has_inline_asm
-       :: List.map
-            (fun (s : Objfile.Section.t) ->
-              Printf.sprintf "%s:%s:%d:%s:%d" s.name
-                (Objfile.Section.kind_to_string s.kind)
-                s.align
-                (Option.value s.symbol ~default:"")
-                (Objfile.Section.size s))
-            o.sections))
-
-(* Objects are immutable once built, so their digest is a pure function
-   of physical identity — memoized, the verified read of every warm
-   cache hit skips the string rebuild. Keyed by physical equality
-   (structural hash, [==] compare): a recompiled object is a new key and
-   re-digests, and [Cache.corrupt] flips the *stored* digest, so rot
-   detection still compares against a freshly correct value. Sequential
-   passes only (cache pass / commit pass), hence no lock. *)
-module PhysObjTbl = Hashtbl.Make (struct
-  type t = Objfile.File.t
-
-  let equal = ( == )
-
-  let hash = Hashtbl.hash
-end)
-
-let obj_digests : Support.Digesting.t PhysObjTbl.t = PhysObjTbl.create 256
-
-let obj_digest (o : Objfile.File.t) =
-  match PhysObjTbl.find_opt obj_digests o with
-  | Some d -> d
-  | None ->
-    let d = obj_digest_uncached o in
-    PhysObjTbl.add obj_digests o d;
-    d
 
 (* Per-unit outcome of the sequential cache pass. [Dup] marks a unit
    whose key is already being compiled for an earlier unit this build:
@@ -231,7 +177,7 @@ let build env ~name ~program ~codegen_options ~link_options =
           let key = keys.(i) in
           if Hashtbl.mem pending key then Dup
           else
-            let outcome = Cache.find_verified env.obj_cache key ~digest_of:obj_digest in
+            let outcome = Cache.find_verified env.obj_cache key ~digest_of:Objfile.File.digest in
             (match outcome with
             | `Corrupt ->
               incr corrupt_evicted;
@@ -326,7 +272,7 @@ let build env ~name ~program ~codegen_options ~link_options =
                    end
                  | None -> ());
                  let obj = compiled.(j) in
-                 Cache.add ~digest_of:obj_digest env.obj_cache keys.(i)
+                 Cache.add ~digest_of:Objfile.File.digest env.obj_cache keys.(i)
                    ~size:Objfile.File.total_size obj;
                  (match plan with
                  | Some p
@@ -375,7 +321,7 @@ let build env ~name ~program ~codegen_options ~link_options =
   let outcome =
     Obs.Recorder.with_span r "link" @@ fun () ->
     let o =
-      Linker.Link.link ~ctx:(Support.Ctx.with_recorder env.ctx r) ~options:link_options
+      Linker.Link.link ~ctx:env.ctx ~options:link_options
         ~name ~entry:(Ir.Program.main program) objs
     in
     Obs.Recorder.advance r o.stats.cpu_seconds;

@@ -14,31 +14,9 @@ type result = {
   speculated : int;
 }
 
-(* LPT replans the same action multiset on every build of a program:
-   Phase 2 and Phase 4 schedule near-identical sets, and bench sweeps
-   replay them dozens of times. Memoize the descending-cost sort on the
-   action list itself (structural key); the memo is only touched from
-   the build coordinator, never from pool workers. *)
-let sort_memo : (action list, action list) Hashtbl.t = Hashtbl.create 64
-
-let memo_hits = ref 0
-
-let plan_memo_hits () = !memo_hits
-
+(* LPT order: descending cost, ties in input order. *)
 let lpt_order actions =
-  match Hashtbl.find_opt sort_memo actions with
-  | Some sorted ->
-    incr memo_hits;
-    sorted
-  | None ->
-    let sorted =
-      List.stable_sort
-        (fun (a : action) (b : action) -> compare b.cpu_seconds a.cpu_seconds)
-        actions
-    in
-    if Hashtbl.length sort_memo > 512 then Hashtbl.reset sort_memo;
-    Hashtbl.replace sort_memo actions sorted;
-    sorted
+  List.stable_sort (fun (a : action) (b : action) -> compare b.cpu_seconds a.cpu_seconds) actions
 
 (* Effective on-worker duration of an action under a fault plan, plus a
    tag for the straggler accounting. Retries serialize on the action's
@@ -112,7 +90,3 @@ let schedule ?mem_limit ?faults ~workers actions =
 
 let critical_path r =
   List.fold_left (fun acc p -> Float.max acc p.action.cpu_seconds) 0.0 r.placements
-
-let worker_timeline r w =
-  List.filter (fun p -> p.worker = w) r.placements
-  |> List.stable_sort (fun (a : placement) (b : placement) -> compare a.start b.start)

@@ -54,16 +54,13 @@ let compile_func options (f : Ir.Func.t) =
   Lower.lower_func ~emit_bb_addr_map:options.emit_bb_addr_map ~plan ~default_order
     ~prefetch_blocks f
 
-let compile_unit_with ?pool options (u : Ir.Cunit.t) =
+let compile_unit ~(ctx : Support.Ctx.t) options (u : Ir.Cunit.t) =
   (* Per-function lowering fans out on the pool; section assembly and
      the eh_frame/except accounting stay on the caller, folding in
      function order so emitted objects are identical for any width. *)
   let funcs = Array.of_list u.funcs in
   let lowered =
-    match pool with
-    | None -> Array.map (fun f -> compile_func options f) funcs
-    | Some p ->
-      Support.Pool.map_array p (Array.length funcs) (fun i -> compile_func options funcs.(i))
+    Support.Pool.map_array ctx.pool (Array.length funcs) (fun i -> compile_func options funcs.(i))
   in
   let func_sections =
     List.mapi (fun i f -> (f, lowered.(i))) (Array.to_list funcs)
@@ -99,20 +96,11 @@ let compile_unit_with ?pool options (u : Ir.Cunit.t) =
   let has_inline_asm = List.exists (fun (f : Ir.Func.t) -> f.attrs.has_inline_asm) u.funcs in
   Objfile.File.make ~name:(u.name ^ ".o") ~unit_name:u.name ~has_inline_asm (sections @ extra)
 
-let compile_program_with ?pool options p =
-  match pool with
-  | None -> List.map (compile_unit_with options) (Ir.Program.units p)
-  | Some pl ->
-    (* Unit-level fan-out; the per-function batches inside each unit
-       run inline on whichever domain compiles the unit (nested pool
-       use serializes by design). *)
-    let units = Array.of_list (Ir.Program.units p) in
-    Array.to_list
-      (Support.Pool.map_array pl (Array.length units) (fun i ->
-           compile_unit_with ~pool:pl options units.(i)))
-
-let ctx_pool = Option.map (fun c -> c.Support.Ctx.pool)
-
-let compile_unit ?ctx options u = compile_unit_with ?pool:(ctx_pool ctx) options u
-
-let compile_program ?ctx options p = compile_program_with ?pool:(ctx_pool ctx) options p
+let compile_program ~(ctx : Support.Ctx.t) options p =
+  (* Unit-level fan-out; the per-function batches inside each unit run
+     inline on whichever domain compiles the unit (nested pool use
+     serializes by design). *)
+  let units = Array.of_list (Ir.Program.units p) in
+  Array.to_list
+    (Support.Pool.map_array ctx.pool (Array.length units) (fun i ->
+         compile_unit ~ctx options units.(i)))

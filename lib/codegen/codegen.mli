@@ -40,15 +40,15 @@ val default_options : options
     reordered). *)
 val intra_order : use_pgo:bool -> Ir.Func.t -> int list
 
-(** [compile_unit ?ctx options u] emits the object file of unit [u]:
+(** [compile_unit ~ctx options u] emits the object file of unit [u]:
     per-function text sections (respecting [options.plans]), address-map
     metadata, [.eh_frame] (one CIE plus one FDE per text section; extra
     fragments pay the callee-saved re-emission toll of §4.4), exception
-    tables, and the unit's rodata/data. With [ctx], per-function
-    lowering fans out across the context's domain pool; the emitted
-    object is byte-identical to the sequential one. *)
-val compile_unit : ?ctx:Support.Ctx.t -> options -> Ir.Cunit.t -> Objfile.File.t
+    tables, and the unit's rodata/data. Per-function lowering fans out
+    across the context's domain pool; the emitted object is
+    byte-identical for any pool width. *)
+val compile_unit : ctx:Support.Ctx.t -> options -> Ir.Cunit.t -> Objfile.File.t
 
-(** [compile_program ?ctx options p] compiles every unit, fanning out
-    across units when a context is given. *)
-val compile_program : ?ctx:Support.Ctx.t -> options -> Ir.Program.t -> Objfile.File.t list
+(** [compile_program ~ctx options p] compiles every unit, fanning out
+    across units on the context's pool. *)
+val compile_program : ctx:Support.Ctx.t -> options -> Ir.Program.t -> Objfile.File.t list

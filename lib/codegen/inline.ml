@@ -15,10 +15,6 @@ let default_config =
     seed = 0x7417L;
   }
 
-let last_inlined = ref 0
-
-let stats_of_last_run () = !last_inlined
-
 let clamp lo hi v = max lo (min hi v)
 
 (* Extra estimation noise on a cloned block's PGO probabilities: the
@@ -113,18 +109,10 @@ let func ?(config = default_config) ~program (f : Ir.Func.t) =
   go f config.max_inlines_per_func 0
 
 let program ?(config = default_config) p =
-  last_inlined := 0;
   let units =
     List.map
       (fun (u : Ir.Cunit.t) ->
-        let funcs =
-          List.map
-            (fun f ->
-              let f', k = func ~config ~program:p f in
-              last_inlined := !last_inlined + k;
-              f')
-            u.funcs
-        in
+        let funcs = List.map (fun f -> fst (func ~config ~program:p f)) u.funcs in
         Ir.Cunit.make ~name:u.name ~rodata:u.rodata ~data:u.data funcs)
       (Ir.Program.units p)
   in

@@ -32,7 +32,3 @@ val func : ?config:config -> program:Ir.Program.t -> Ir.Func.t -> Ir.Func.t * in
 (** [program ?config p] applies {!func} to every function. The
     returned program is a valid {!Ir.Program.t} (revalidated). *)
 val program : ?config:config -> Ir.Program.t -> Ir.Program.t
-
-(** [stats_of_last_run ()] is the number of call sites inlined by the
-    most recent {!program} call on this domain. *)
-val stats_of_last_run : unit -> int

@@ -56,6 +56,6 @@ val to_json : t -> Obs.Json.t
     blocks, one per judgement area). *)
 val to_text : t -> string
 
-(** [publish ?ctx t] records every scalar as a [diag.<area>.<metric>]
-    gauge on the context's recorder (default: the global one). *)
-val publish : ?ctx:Support.Ctx.t -> t -> unit
+(** [publish ~ctx t] records every scalar as a [diag.<area>.<metric>]
+    gauge on the context's recorder. *)
+val publish : ctx:Support.Ctx.t -> t -> unit

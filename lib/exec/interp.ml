@@ -180,13 +180,8 @@ and goto st depth xb nxt kindc =
 (* The drain-based entry point: the engine writes the flat event tape
    and hands full tapes to [drain]. [run] below adapts a closure sink
    onto it, so both observe the identical stream. *)
-let run_tape_internal ?ctx image config ~record ~drain =
-  let r =
-    match ctx with
-    | Some c -> c.Support.Ctx.recorder
-    | None -> Obs.Recorder.global
-  in
-  Obs.Recorder.with_span r "exec:run" @@ fun () ->
+let run_tape_internal ~(ctx : Support.Ctx.t) image config ~record ~drain =
+  Obs.Recorder.with_span ctx.recorder "exec:run" @@ fun () ->
   let st =
     {
       image;
@@ -242,12 +237,10 @@ let run_tape_internal ?ctx image config ~record ~drain =
     requests_completed = !completed;
   }
 
-let run_tape ?ctx image config ~drain =
-  run_tape_internal ?ctx image config ~record:true ~drain
+let run_tape ~ctx image config ~drain = run_tape_internal ~ctx image config ~record:true ~drain
 
 let drain_ignore (_ : Event.tape) = ()
 
-let run ?ctx image config sink =
-  if sink == Event.null then
-    run_tape_internal ?ctx image config ~record:false ~drain:drain_ignore
-  else run_tape ?ctx image config ~drain:(fun tape -> Event.replay tape sink)
+let run ~ctx image config sink =
+  if sink == Event.null then run_tape_internal ~ctx image config ~record:false ~drain:drain_ignore
+  else run_tape ~ctx image config ~drain:(fun tape -> Event.replay tape sink)

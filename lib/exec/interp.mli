@@ -39,14 +39,14 @@ type stats = {
     [br_inst_retired.near_taken] proxy (Table 4, B2). *)
 val taken_branches : stats -> int
 
-(** [run ?ctx image config sink] executes and returns aggregate
-    counters, under an ["exec:run"] span on the context's recorder
-    (default {!Obs.Recorder.global}). Events are delivered to [sink] in
-    emission order via the flat tape ({!run_tape} is the direct path);
-    [Event.null] short-circuits delivery entirely. *)
-val run : ?ctx:Support.Ctx.t -> Image.t -> config -> Event.sink -> stats
+(** [run ~ctx image config sink] executes and returns aggregate
+    counters, under an ["exec:run"] span on the context's recorder.
+    Events are delivered to [sink] in emission order via the flat tape
+    ({!run_tape} is the direct path); [Event.null] short-circuits
+    delivery entirely. *)
+val run : ctx:Support.Ctx.t -> Image.t -> config -> Event.sink -> stats
 
-(** [run_tape ?ctx image config ~drain] is the flat fast path: the
+(** [run_tape ~ctx image config ~drain] is the flat fast path: the
     engine writes events onto a preallocated {!Event.tape} and calls
     [drain] each time it fills and once at end of run. [drain] must
     consume the tape synchronously (the buffer is reused after it
@@ -54,4 +54,4 @@ val run : ?ctx:Support.Ctx.t -> Image.t -> config -> Event.sink -> stats
     ([Uarch.Core.consume], [Perfmon.Lbr.consume]) to process events
     without closure indirection or float boxing; {!Event.replay} adapts
     a tape back onto any closure sink. *)
-val run_tape : ?ctx:Support.Ctx.t -> Image.t -> config -> drain:(Event.tape -> unit) -> stats
+val run_tape : ctx:Support.Ctx.t -> Image.t -> config -> drain:(Event.tape -> unit) -> stats

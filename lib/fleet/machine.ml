@@ -51,7 +51,7 @@ let deploy t ~generation binary =
   t.image <- Exec.Image.build t.program binary;
   t.digest <- hex binary
 
-let serve ?ctx ?(source = Perfmon.Source.Lbr)
+let serve ~ctx ?(source = Perfmon.Source.Lbr)
     ?(sampler = Perfmon.Sampler.default_config) t ~lbr ~requests =
   let lbr_profile = Perfmon.Lbr.create_profile () in
   let samples = Perfmon.Sampler.create_profile () in
@@ -79,7 +79,7 @@ let serve ?ctx ?(source = Perfmon.Source.Lbr)
         Uarch.Core.consume core tape
   in
   let stats =
-    Exec.Interp.run_tape ?ctx t.image { Exec.Interp.default_config with requests } ~drain
+    Exec.Interp.run_tape ~ctx t.image { Exec.Interp.default_config with requests } ~drain
   in
   (* A sampled machine synthesizes locally against the binary it ran
      (the AutoFDO shape: perf.data -> profile conversion on the host,

@@ -59,7 +59,7 @@ val series : t -> Obs.Timeseries.t
     promotion, or rollback). *)
 val deploy : t -> generation:int -> Linker.Binary.t -> unit
 
-(** [serve ?ctx ?source ?sampler t ~lbr ~requests] serves one round of
+(** [serve ~ctx ?source ?sampler t ~lbr ~requests] serves one round of
     traffic, records the round into the machine's time-series, and
     returns the profile shard. Under [source = Lbr] (default) the shard
     carries raw branch records; under [Sampled] the machine runs the
@@ -70,7 +70,7 @@ val deploy : t -> generation:int -> Linker.Binary.t -> unit
     and report [mispredict_rate = 0]. Deterministic: all randomness
     lives in the interpreter's and sampler's stateless hashes. *)
 val serve :
-  ?ctx:Support.Ctx.t ->
+  ctx:Support.Ctx.t ->
   ?source:Perfmon.Source.t ->
   ?sampler:Perfmon.Sampler.config ->
   t ->

@@ -30,10 +30,6 @@ let code_bytes f = Array.fold_left (fun acc b -> acc + Block.body_bytes b) 0 f.b
 
 let calls f = Array.to_list f.blocks |> List.concat_map Block.calls
 
-let landing_pads f =
-  Array.to_list f.blocks
-  |> List.filter_map (fun (b : Block.t) -> if b.is_landing_pad then Some b.id else None)
-
 let pp fmt f =
   Format.fprintf fmt "@[<v 2>func %s (%d blocks):@ " f.name (Array.length f.blocks);
   Array.iter (fun b -> Format.fprintf fmt "%a@ " Block.pp b) f.blocks;

@@ -11,19 +11,6 @@ let default_params =
 
 type t = { name : string; order : ?params:params -> Problem.t -> int list }
 
-let registry : t list ref = ref []
-
-let register p =
-  if List.exists (fun q -> q.name = p.name) !registry then
-    registry := List.map (fun q -> if q.name = p.name then p else q) !registry
-  else registry := !registry @ [ p ]
-
-let find name = List.find_opt (fun p -> p.name = name) !registry
-
-let all () = !registry
-
-let names () = List.map (fun p -> p.name) !registry
-
 (* Move [entry] to the front, preserving the relative order of the
    rest. Policies built from entry-less orderings (function-granularity
    clustering) use this to satisfy the entry-first contract. *)
@@ -207,13 +194,19 @@ let local_search_order ?(params = default_params) (p : Problem.t) =
     Array.to_list arr
   end
 
-let () =
-  register { name = "exttsp"; order = exttsp_order };
-  register { name = "exttsp-linear"; order = exttsp_linear_order };
-  register { name = "callchain"; order = callchain_order };
-  register { name = "greedy"; order = greedy_order };
-  register { name = "hillclimb"; order = hillclimb_order };
-  register { name = "local-search"; order = local_search_order }
+let all =
+  [
+    { name = "exttsp"; order = exttsp_order };
+    { name = "exttsp-linear"; order = exttsp_linear_order };
+    { name = "callchain"; order = callchain_order };
+    { name = "greedy"; order = greedy_order };
+    { name = "hillclimb"; order = hillclimb_order };
+    { name = "local-search"; order = local_search_order };
+  ]
+
+let find name = List.find_opt (fun p -> p.name = name) all
+
+let names = List.map (fun p -> p.name) all
 
 let order_batch ?(params = default_params) ~pool policy problems =
   Support.Pool.map_array pool (Array.length problems) (fun i ->

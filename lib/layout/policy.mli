@@ -2,12 +2,12 @@
 
     A policy is a named function from a {!Problem.t} to a layout — a
     permutation of [0 .. n-1] with the problem's entry first. All
-    policies registered here are deterministic: any randomness is drawn
+    policies listed here are deterministic: any randomness is drawn
     from {!Support.Rng} streams derived from [params.seed], so the same
     (problem, params) pair always yields the same layout on any number
     of domains.
 
-    Registered policies (see {!all}):
+    Policies (see {!all}):
     - ["exttsp"] — Ext-TSP chain merging with priority-queue retrieval
       (paper §3.3/§4.7); the default everywhere.
     - ["exttsp-linear"] — Ext-TSP with linear candidate rescan; same
@@ -47,18 +47,15 @@ type t = {
       (** Returns a permutation of [0 .. size-1], entry first. *)
 }
 
-(** [register p] adds a policy to the registry; a policy with the same
-    name replaces the old one (insertion position preserved). *)
-val register : t -> unit
+(** [all] is every policy, in a fixed order: exttsp, exttsp-linear,
+    callchain, greedy, hillclimb, local-search. *)
+val all : t list
 
-(** [find name] looks up a registered policy. *)
+(** [find name] looks a policy up by name. *)
 val find : string -> t option
 
-(** [all ()] lists registered policies in registration order. *)
-val all : unit -> t list
-
-(** [names ()] lists registered policy names in registration order. *)
-val names : unit -> string list
+(** [names] is the names of {!all}, in the same order. *)
+val names : string list
 
 (** [order_batch ?params ~pool policy problems] solves every problem
     across the domain pool and returns [(order, exttsp_score)] per

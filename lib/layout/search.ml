@@ -59,11 +59,11 @@ let mutate rng (c : candidate) =
           restarts = Support.Rng.choose rng restart_counts;
         }
     }
-  | 6 -> { c with policy = Support.Rng.choose rng (Array.of_list (Policy.names ())) }
+  | 6 -> { c with policy = Support.Rng.choose rng (Array.of_list Policy.names) }
   | _ ->
     (* Compound: switch policy and reseed in one step, so policy
        switches are not stuck with the incumbent's seed. *)
-    { policy = Support.Rng.choose rng (Array.of_list (Policy.names ()));
+    { policy = Support.Rng.choose rng (Array.of_list Policy.names);
       params = { p with seed = Support.Rng.int rng 0x3fffffff };
     }
 
@@ -127,12 +127,12 @@ let run ?recorder ?(seed = 1) ?(round_size = 4) ~budget ~evaluate () =
     | None -> body ()
     | Some r -> Obs.Recorder.with_span r "layout_search.round" body
   in
-  (* Round 0: every registered policy under default parameters, seeded
-     with the tournament seed. Guarantees an exttsp baseline entry. *)
+  (* Round 0: every policy under default parameters, seeded with the
+     tournament seed. Guarantees an exttsp baseline entry. *)
   let opening =
     List.map
       (fun name -> { policy = name; params = { Policy.default_params with seed } })
-      (Policy.names ())
+      Policy.names
   in
   run_round 0 opening;
   let round = ref 0 in

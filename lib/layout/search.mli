@@ -16,13 +16,12 @@
     all fixed, so the same (budget, seed, evaluator) triple reproduces
     the same winner bit-for-bit. No wall-clock anywhere.
 
-    Round 1 evaluates every registered policy once under default
-    parameters — so the report always contains an Ext-TSP baseline to
-    beat. Subsequent rounds mutate the best candidate so far (parameter
+    Round 1 evaluates every policy once under default parameters — so
+    the report always contains an Ext-TSP baseline to beat. Subsequent rounds mutate the best candidate so far (parameter
     scaling, window resizing, reseeding, occasional policy switches)
     until the evaluation budget is spent. *)
 
-type candidate = { policy : string;  (** registered policy name *) params : Policy.params }
+type candidate = { policy : string;  (** one of {!Policy.names} *) params : Policy.params }
 
 type outcome = {
   fitness : float;  (** simulated cycles — lower is better *)

@@ -17,15 +17,41 @@ type t = {
   text_start : int;
   text_end : int;
   bb_maps : Objfile.Bbmap.t;
-  uid : int;  (** Distinguishes binaries for internal caching. *)
+  by_addr : block_info array option Atomic.t;
 }
 
-let next_uid = ref 0
-
 let make ~name ~entry_symbol ~sections ~symbols ~blocks ~text_start ~text_end ~bb_maps =
-  incr next_uid;
-  { name; entry_symbol; sections; symbols; blocks; text_start; text_end; bb_maps;
-    uid = !next_uid }
+  {
+    name;
+    entry_symbol;
+    sections;
+    symbols;
+    blocks;
+    text_start;
+    text_end;
+    bb_maps;
+    by_addr = Atomic.make None;
+  }
+
+let no_block = { func = ""; block = 0; addr = 0; size = 0; insts = [] }
+
+(* The address-sorted block index, sorted on first use rather than in
+   [make]: the relink path never looks a block up by address, and a
+   clang-sized sort in every link costs it ~8% of its instructions.
+   Domains that race here both sort and store equal arrays. *)
+let sorted_blocks t =
+  match Atomic.get t.by_addr with
+  | Some arr -> arr
+  | None ->
+    let arr = Array.make (Hashtbl.length t.blocks) no_block and i = ref 0 in
+    Hashtbl.iter
+      (fun _ b ->
+        arr.(!i) <- b;
+        incr i)
+      t.blocks;
+    Array.sort (fun (a : block_info) (b : block_info) -> Int.compare a.addr b.addr) arr;
+    Atomic.set t.by_addr (Some arr);
+    arr
 
 let symbol_addr t s = Hashtbl.find_opt t.symbols s
 
@@ -39,21 +65,6 @@ let size_of_kind t kind =
 let total_size t = List.fold_left (fun acc p -> acc + p.size) 0 t.sections
 
 let text_bytes t = size_of_kind t Objfile.Section.Text
-
-let num_symbols t = Hashtbl.length t.symbols
-
-(* Sorted block array for address lookups, built lazily per binary via
-   memo table keyed on physical identity. *)
-let sorted_blocks_cache : (int, block_info array) Hashtbl.t = Hashtbl.create 8
-
-let sorted_blocks t =
-  match Hashtbl.find_opt sorted_blocks_cache t.uid with
-  | Some arr -> arr
-  | None ->
-    let arr = Array.of_seq (Seq.map snd (Hashtbl.to_seq t.blocks)) in
-    Array.sort (fun (a : block_info) (b : block_info) -> compare a.addr b.addr) arr;
-    Hashtbl.replace sorted_blocks_cache t.uid arr;
-    arr
 
 let find_block_by_addr t addr =
   let arr = sorted_blocks t in

@@ -21,7 +21,7 @@ type placed = {
   symbol : string option;
 }
 
-type t = {
+type t = private {
   name : string;
   entry_symbol : string;
   sections : placed list;  (** In final layout order. *)
@@ -30,10 +30,13 @@ type t = {
   text_start : int;
   text_end : int;
   bb_maps : Objfile.Bbmap.t;  (** Merged metadata, if retained. *)
-  uid : int;  (** Unique per constructed binary; used for caching. *)
+  by_addr : block_info array option Atomic.t;
+      (** The binary's address-sorted block index, built by the first
+          {!find_block_by_addr} or {!blocks_in_address_order} call. *)
 }
 
-(** [make ...] assembles a binary, assigning it a fresh [uid]. *)
+(** [make ...] assembles a binary. [blocks] must not be mutated
+    afterwards. *)
 val make :
   name:string ->
   entry_symbol:string ->
@@ -63,9 +66,6 @@ val total_size : t -> int
 (** [text_bytes t] is the size of executable code. *)
 val text_bytes : t -> int
 
-(** [num_symbols t] counts global symbols. *)
-val num_symbols : t -> int
-
 (** [find_block_by_addr t addr] maps a virtual address to the placed
     block covering it, if any; O(log n). *)
 val find_block_by_addr : t -> int -> block_info option
@@ -75,8 +75,7 @@ val funcs : t -> string list
 
 (** [blocks_in_address_order t] lists every placed block sorted by final
     virtual address — the deterministic iteration order introspection
-    tools need (the raw [blocks] table iterates in hash order). Shares
-    the cached sorted index of {!find_block_by_addr}. *)
+    tools need (the raw [blocks] table iterates in hash order). *)
 val blocks_in_address_order : t -> block_info list
 
 (** [symbols_sorted t] lists (symbol, address) pairs sorted by address,
@@ -87,7 +86,6 @@ val symbols_sorted : t -> (string * int) list
 (** [image_digest t] is a content digest of the observable image: the
     placed section list, every block's final address/size/instructions
     (in address order), and the sorted symbol table. Binaries built from
-    the same inputs digest equal regardless of [uid] or construction
-    order — the byte-identity oracle behind the [--jobs] determinism
-    tests. *)
+    the same inputs digest equal regardless of construction order —
+    the byte-identity oracle behind the [--jobs] determinism tests. *)
 val image_digest : t -> Support.Digesting.t

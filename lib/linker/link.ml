@@ -312,10 +312,8 @@ let relax_sweep sections ~deleted ~shrunk =
 let symtab_bytes syms =
   Hashtbl.fold (fun name _ acc -> acc + 24 + String.length name + 1) syms 0
 
-let link_with ?recorder ?(options = default_options) ~name ~entry objs =
-  let recorder =
-    match recorder with Some r -> r | None -> Obs.Recorder.global
-  in
+let link ~(ctx : Support.Ctx.t) ?(options = default_options) ~name ~entry objs =
+  let recorder = ctx.recorder in
   let input_bytes = List.fold_left (fun acc o -> acc + Objfile.File.total_size o) 0 objs in
   let num_input_sections =
     List.fold_left (fun acc (o : Objfile.File.t) -> acc + List.length o.sections) 0 objs
@@ -446,8 +444,3 @@ let link_with ?recorder ?(options = default_options) ~name ~entry objs =
   Obs.Recorder.add_counter recorder "linker.symbols.resolved" (Hashtbl.length final_syms);
   Obs.Recorder.observe recorder "linker.cpu_seconds" stats.cpu_seconds;
   { binary; stats }
-
-let link ?ctx ?options ~name ~entry objs =
-  link_with
-    ?recorder:(Option.map (fun c -> c.Support.Ctx.recorder) ctx)
-    ?options ~name ~entry objs

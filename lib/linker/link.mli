@@ -41,13 +41,12 @@ type stats = {
 
 type outcome = { binary : Binary.t; stats : stats }
 
-(** [link ?ctx ?options ~name ~entry objs] produces the executable.
+(** [link ~ctx ?options ~name ~entry objs] produces the executable.
     Raises {!Link_error} on duplicate or unresolved symbols.
     Relaxation-iteration, deleted-jump, shrunk-branch and
-    resolved-symbol counters are recorded on the context's recorder
-    (default {!Obs.Recorder.global}). *)
+    resolved-symbol counters are recorded on the context's recorder. *)
 val link :
-  ?ctx:Support.Ctx.t ->
+  ctx:Support.Ctx.t ->
   ?options:options ->
   name:string ->
   entry:string ->

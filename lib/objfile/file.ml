@@ -3,10 +3,33 @@ type t = {
   unit_name : string;
   sections : Section.t list;
   has_inline_asm : bool;
+  digest : Support.Digesting.t;
 }
 
+(* Structural content digest: deterministic and sensitive to the
+   object's shape. The rot the build cache detects is a flipped
+   *stored* digest, not adversarial tampering. *)
+let content_digest ~name ~unit_name ~has_inline_asm sections =
+  Support.Digesting.of_string
+    (String.concat "|"
+       (name :: unit_name :: string_of_bool has_inline_asm
+       :: List.map
+            (fun (s : Section.t) ->
+              Printf.sprintf "%s:%s:%d:%s:%d" s.name (Section.kind_to_string s.kind) s.align
+                (Option.value s.symbol ~default:"")
+                (Section.size s))
+            sections))
+
 let make ~name ~unit_name ?(has_inline_asm = false) sections =
-  { name; unit_name; sections; has_inline_asm }
+  {
+    name;
+    unit_name;
+    sections;
+    has_inline_asm;
+    digest = content_digest ~name ~unit_name ~has_inline_asm sections;
+  }
+
+let digest o = o.digest
 
 let text_sections o = List.filter Section.is_text o.sections
 

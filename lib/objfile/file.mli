@@ -1,15 +1,24 @@
 (** A relocatable object file: the unit the build system compiles, caches
     and the linker consumes. *)
 
-type t = {
+type t = private {
   name : string;  (** e.g. ["s_1.o"]; derived from the compilation unit. *)
   unit_name : string;  (** The compilation unit it was produced from. *)
   sections : Section.t list;
   has_inline_asm : bool;
       (** Object contains hand-written assembly (a disassembly hazard). *)
+  digest : Support.Digesting.t;  (** See {!digest}. *)
 }
 
+(** [make ~name ~unit_name ?has_inline_asm sections] is the only way to
+    build an object, so its content digest is computed exactly once. *)
 val make : name:string -> unit_name:string -> ?has_inline_asm:bool -> Section.t list -> t
+
+(** [digest o] is the object's structural content digest (name, unit,
+    inline-asm flag and each section's name, kind, alignment, symbol
+    and size), computed once by {!make}. The build cache records it at
+    store time and re-checks it on verified reads. *)
+val digest : t -> Support.Digesting.t
 
 (** [text_sections o] in declaration order. *)
 val text_sections : t -> Section.t list

@@ -27,6 +27,3 @@ let num_relocations f =
     0 f.pieces
 
 let block_ids f = List.map (fun p -> p.block) f.pieces
-
-let map_insts fn frag =
-  { frag with pieces = List.map (fun p -> { p with insts = List.map fn p.insts }) frag.pieces }

@@ -28,6 +28,3 @@ val num_relocations : t -> int
 
 (** [block_ids f] lists block ids in piece order. *)
 val block_ids : t -> int list
-
-(** [map_insts f frag] rewrites every instruction (e.g. for relaxation). *)
-val map_insts : (Isa.t -> Isa.t) -> t -> t

@@ -3,6 +3,8 @@
    gettimeofday step backwards would otherwise produce negative span
    durations in the self-profile). *)
 
+(* Kept process-wide: there is one host clock, so its monotonic floor
+   is one value too. *)
 let last = Atomic.make 0.0
 
 let now () =

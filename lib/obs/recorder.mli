@@ -4,10 +4,8 @@
 
     Library code records against a recorder passed in by its caller
     (e.g. [Buildsys.Driver.env] carries one inside its [Support.Ctx.t]);
-    code with no natural injection point (a bare [Linker.Link.link]
-    call) defaults to {!global}. Tests that need isolation — e.g.
-    asserting that two identical pipeline runs export byte-identical
-    metrics — create fresh recorders instead.
+    there is no process-wide default, so every recorder has an owner
+    and two runs never share telemetry by accident.
 
     Every {!with_span} and metric call also feeds the flight recorder
     (bounded, O(1)); spans additionally feed the self-profiler when
@@ -18,10 +16,6 @@
 type t
 
 val create : ?flight_capacity:int -> unit -> t
-
-(** The process-wide default recorder (what [propeller_driver --trace]
-    exports). *)
-val global : t
 
 val clock : t -> Clock.t
 
@@ -96,10 +90,6 @@ val metrics_json : t -> string
 
 (** [metrics_report t] is the plain-text metrics report. *)
 val metrics_report : t -> string
-
-(** [selfprof_json t] is the self-profile as compact JSON
-    ([--self-profile-out]). *)
-val selfprof_json : t -> string
 
 (** [flight_dump t] is the deterministic postmortem text of the last K
     events. *)

@@ -19,7 +19,7 @@ let default_config =
     split_functions = true;
   }
 
-(* Resolve the configured policy name against the registry; an unknown
+(* Resolve the configured policy name against [Layout.Policy.all]; an unknown
    name is a configuration error, reported with the valid names. *)
 let resolve_policy name =
   match Layout.Policy.find name with
@@ -27,7 +27,7 @@ let resolve_policy name =
   | None ->
     invalid_arg
       (Printf.sprintf "unknown layout policy %S (registered: %s)" name
-         (String.concat ", " (Layout.Policy.names ())))
+         (String.concat ", " Layout.Policy.names))
 
 (* The two profile regimes WPA can be driven by. An Lbr profile feeds
    Dcfg directly; a Sampled one is first synthesized into LBR shape
@@ -236,22 +236,14 @@ let layout_key ~params_str ~shape_strs (d : Dcfg.dfunc) =
     edges;
   Support.Digesting.of_string (Buffer.contents b)
 
-let analyze ?(config = default_config) ?ctx ?layout_cache ~profile
+let analyze ?(config = default_config) ~(ctx : Support.Ctx.t) ?layout_cache ~profile
     ~(binary : Linker.Binary.t) () =
   let profile = resolve_profile ~binary profile in
-  let pool =
-    match ctx with
-    | Some c -> c.Support.Ctx.pool
-    | None -> Support.Pool.global ()
-  in
+  let pool = ctx.pool in
   let plan =
-    match ctx with
-    | Some c -> (
-      match c.Support.Ctx.faults with
-      | Some p when Faultsim.Plan.is_active p && p.Faultsim.Plan.shard_drop > 0.0 ->
-        Some p
-      | Some _ | None -> None)
-    | None -> None
+    match ctx.faults with
+    | Some p when Faultsim.Plan.is_active p && p.Faultsim.Plan.shard_drop > 0.0 -> Some p
+    | Some _ | None -> None
   in
   let cache_snapshot () =
     match layout_cache with

@@ -109,17 +109,16 @@ val layout_key :
   Dcfg.dfunc ->
   Support.Digesting.t
 
-(** [analyze ?config ?ctx ?layout_cache ~profile ~binary ()] runs the
+(** [analyze ?config ~ctx ?layout_cache ~profile ~binary ()] runs the
     whole-program analysis against a metadata binary (one linked with
     [keep_bb_addr_map = true]; raises [Invalid_argument] otherwise).
 
     Per-function partitioning and Ext-TSP fan out on the context's
-    domain pool (default {!Support.Pool.global}); results commit in
-    deterministic order, so plans, ordering and [layout_score] are
-    identical for any pool width. With [layout_cache], functions whose
-    {!layout_key} is cached skip layout entirely — the
-    incremental-relink fast path — and the result's [layout_cache_*]
-    fields report this call's deltas.
+    domain pool; results commit in deterministic order, so plans,
+    ordering and [layout_score] are identical for any pool width. With
+    [layout_cache], functions whose {!layout_key} is cached skip layout
+    entirely — the incremental-relink fast path — and the result's
+    [layout_cache_*] fields report this call's deltas.
 
     When [ctx] carries an active fault plan with a positive shard-drop
     rate, the sharded profile store loses shards: hot functions hashed
@@ -129,7 +128,7 @@ val layout_key :
     per-function profile store and do not apply to [Interproc] mode. *)
 val analyze :
   ?config:config ->
-  ?ctx:Support.Ctx.t ->
+  ctx:Support.Ctx.t ->
   ?layout_cache:(Codegen.Directive.func_plan * float) Buildsys.Cache.t ->
   profile:profile_input ->
   binary:Linker.Binary.t ->

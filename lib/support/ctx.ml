@@ -6,20 +6,15 @@ type t = {
 }
 
 let create ?recorder ?pool ?jobs ?faults () =
-  let recorder = match recorder with Some r -> r | None -> Obs.Recorder.global in
+  let recorder = match recorder with Some r -> r | None -> Obs.Recorder.create () in
   let pool =
     match (pool, jobs) with
     | Some p, _ -> p
-    | None, Some j -> Pool.create ~jobs:j ()
-    | None, None -> Pool.global ()
+    | None, jobs -> Pool.create ?jobs ()
   in
   { recorder; pool; jobs = Pool.jobs pool; faults }
 
-let default () = create ()
-
 let with_recorder t recorder = { t with recorder }
-
-let with_faults t faults = { t with faults }
 
 let faults_active t =
   match t.faults with Some p -> Faultsim.Plan.is_active p | None -> false

@@ -1,17 +1,12 @@
-(** The unified execution context threaded through the build/relink
-    pipeline.
+(** The execution context threaded through the build/relink pipeline:
+    the run's telemetry scope, domain pool, pool width and
+    fault-injection plan in one record.
 
-    Before this module existed, every entry point grew its own
-    [?recorder]/[?pool] optional arguments ([Buildsys.Driver.make_env],
-    [Propeller.Wpa.analyze], [Codegen.compile_unit],
-    [Linker.Link.link], [Uarch.Core.publish],
-    [Diagnostics.Report.publish] — six hand-maintained copies of the
-    same plumbing). A [Ctx.t] collapses that sprawl into one record —
-    telemetry scope, domain pool, pool width, and the fault-injection
-    plan of this run — passed explicitly as [?ctx].
-
-    Every entry point takes [?ctx] directly; the transitional
-    [@deprecated] [*_legacy] shims have been removed. *)
+    The context is the only owner of run-wide state. There is no
+    process-global recorder or pool: every entry point that records,
+    fans out or injects faults takes a required [~ctx], and each tool
+    builds exactly one context from its [--jobs]/[--faults] flags and
+    passes it down. *)
 
 type t = {
   recorder : Obs.Recorder.t;  (** Telemetry scope (spans, counters). *)
@@ -23,12 +18,10 @@ type t = {
           disables injection entirely (the fault-free fast path). *)
 }
 
-(** [create ()] assembles a context. [recorder] defaults to
-    {!Obs.Recorder.global}; [pool] defaults to {!Pool.global} (sized by
-    [--jobs] / [PROPELLER_JOBS]) unless [jobs] is given, in which case
-    a fresh pool of that width is created (caller shuts it down, or
-    relies on the pool's at-exit backstop). [faults] defaults to no
-    injection. *)
+(** [create ()] assembles a context. [recorder] defaults to a fresh
+    {!Obs.Recorder.create}; [pool] defaults to a fresh pool of width
+    [jobs] (default 1), which the caller shuts down or leaves to the
+    pool's at-exit backstop. [faults] defaults to no injection. *)
 val create :
   ?recorder:Obs.Recorder.t ->
   ?pool:Pool.t ->
@@ -37,16 +30,8 @@ val create :
   unit ->
   t
 
-(** [default ()] is [create ()]: global recorder, global pool, no
-    faults. Cheap to call; not cached (the global pool may be resized
-    between calls by [Pool.set_default_jobs]). *)
-val default : unit -> t
-
 (** [with_recorder t r] is [t] recording into [r] instead. *)
 val with_recorder : t -> Obs.Recorder.t -> t
-
-(** [with_faults t plan] is [t] with the fault plan replaced. *)
-val with_faults : t -> Faultsim.Plan.t option -> t
 
 (** [faults_active t] is true when a plan is present and any of its
     rates is positive. *)

@@ -31,31 +31,10 @@ type t = {
   mutable cum_batches : int;
 }
 
-(* --- defaults and the shared pool --------------------------------- *)
-
-let env_jobs () =
-  match Sys.getenv_opt "PROPELLER_JOBS" with
-  | None -> None
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some j when j >= 1 -> Some j
-    | Some _ | None -> None)
-
-let default_jobs_override = ref None
-
-let default_jobs () =
-  match !default_jobs_override with
-  | Some j -> j
-  | None -> ( match env_jobs () with Some j -> j | None -> 1)
-
-let set_default_jobs j =
-  if j < 1 then invalid_arg "Pool.set_default_jobs: jobs must be >= 1";
-  default_jobs_override := Some j
-
 let jobs t = t.n_jobs
 
-let create ?jobs () =
-  let n_jobs = match jobs with Some j -> j | None -> default_jobs () in
+let create ?(jobs = 1) () =
+  let n_jobs = jobs in
   if n_jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   {
     n_jobs;
@@ -176,6 +155,23 @@ let worker_loop pool wid =
 
 (* --- lifecycle ----------------------------------------------------- *)
 
+(* Pool's at-exit backstop: every pool with live worker domains, so
+   one [at_exit] hook can join them all — a pool its owner forgot to
+   shut down must never hang process exit. *)
+let live_pools : t list ref = ref []
+
+let live_m = Mutex.create ()
+
+let register_live pool =
+  Mutex.lock live_m;
+  live_pools := pool :: !live_pools;
+  Mutex.unlock live_m
+
+let unregister_live pool =
+  Mutex.lock live_m;
+  live_pools := List.filter (fun p -> p != pool) !live_pools;
+  Mutex.unlock live_m
+
 let shutdown pool =
   Mutex.lock pool.m;
   pool.stop <- true;
@@ -183,34 +179,15 @@ let shutdown pool =
   let ds = pool.domains in
   pool.domains <- [||];
   Mutex.unlock pool.m;
-  Array.iter Domain.join ds
+  Array.iter Domain.join ds;
+  if Array.length ds > 0 then unregister_live pool
 
-(* Every pool that ever spawned a domain, so a single [at_exit] hook
-   can join them all — leaked worker domains must never hang exit. *)
-let live_pools : t list ref = ref []
-
-let live_m = Mutex.create ()
-
-let at_exit_installed = ref false
-
-let register_live pool =
-  Mutex.lock live_m;
-  live_pools := pool :: !live_pools;
-  if not !at_exit_installed then begin
-    at_exit_installed := true;
-    at_exit (fun () ->
-        Mutex.lock live_m;
-        let ps = !live_pools in
-        live_pools := [];
-        Mutex.unlock live_m;
-        List.iter shutdown ps)
-  end;
-  Mutex.unlock live_m
-
-let unregister_live pool =
-  Mutex.lock live_m;
-  live_pools := List.filter (fun p -> p != pool) !live_pools;
-  Mutex.unlock live_m
+let () =
+  at_exit (fun () ->
+      Mutex.lock live_m;
+      let ps = !live_pools in
+      Mutex.unlock live_m;
+      List.iter shutdown ps)
 
 let spawn_if_needed pool =
   if Array.length pool.domains = 0 && pool.n_jobs > 1 && not pool.stop then begin
@@ -316,26 +293,4 @@ let reset_stats pool =
 
 let with_pool ?jobs f =
   let pool = create ?jobs () in
-  Fun.protect
-    ~finally:(fun () ->
-      shutdown pool;
-      unregister_live pool)
-    (fun () -> f pool)
-
-(* The shared default pool. Swapped out (old workers joined) when the
-   process default changes — [--jobs] flags call [set_default_jobs]
-   once at startup, before any build runs. *)
-let global_pool = ref None
-
-let global () =
-  match !global_pool with
-  | Some p when p.n_jobs = default_jobs () && not p.stop -> p
-  | prev ->
-    (match prev with
-    | Some p ->
-      shutdown p;
-      unregister_live p
-    | None -> ());
-    let p = create ~jobs:(default_jobs ()) () in
-    global_pool := Some p;
-    p
+  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)

@@ -25,25 +25,11 @@
 
 type t
 
-(** [default_jobs ()] is the pool width used when none is given
-    explicitly: the last {!set_default_jobs} value, else the
-    [PROPELLER_JOBS] environment variable, else 1. *)
-val default_jobs : unit -> int
-
-(** [set_default_jobs j] sets the process-wide default (the [--jobs N]
-    CLI flags call this). Raises [Invalid_argument] when [j < 1]. *)
-val set_default_jobs : int -> unit
-
-(** [create ?jobs ()] makes a pool of [jobs] workers (default
-    {!default_jobs}). Raises [Invalid_argument] when [jobs < 1]. *)
+(** [create ?jobs ()] makes a pool of [jobs] workers (default 1).
+    Raises [Invalid_argument] when [jobs < 1]. *)
 val create : ?jobs:int -> unit -> t
 
 val jobs : t -> int
-
-(** [global ()] is the shared pool sized to {!default_jobs} — what
-    [Buildsys.Driver.make_env] uses when no pool is passed. Re-created
-    (old one shut down) if the default changed since the last call. *)
-val global : unit -> t
 
 (** [map_array pool n f] computes [[| f 0; ...; f (n-1) |]] across the
     pool. If any task raises, the exception of the {e lowest} raising

@@ -1,4 +1,6 @@
-(** Small statistics helpers used by benches and the cost models. *)
+(** Small statistics helpers used by benches and the cost models. The
+    summary statistics ([sum], [mean], [percentile], [stddev],
+    [median]) are {!Obs.Metrics}' one implementation, re-exported. *)
 
 (** [mean xs] is the arithmetic mean; 0 for the empty list. *)
 val mean : float list -> float
@@ -6,12 +8,9 @@ val mean : float list -> float
 (** [geomean xs] is the geometric mean of positive values; 0 for empty. *)
 val geomean : float list -> float
 
-(** [percentile p xs] is the [p]-th percentile (0..100) by linear
-    interpolation between closest ranks on a sorted copy (numpy's
-    "linear" method, matching [Obs.Metrics] summaries): exact for small
-    samples — any percentile of a singleton is that sample, and
-    [percentile 50.] equals {!median} for every length. Raises
-    [Invalid_argument] on empty input. *)
+(** [percentile p xs] is {!Obs.Metrics.percentile}: linear
+    interpolation between closest ranks; raises [Invalid_argument] on
+    empty input. *)
 val percentile : float -> float list -> float
 
 (** [sum xs] sums the list. *)
@@ -33,9 +32,3 @@ val ratio_pct : float -> float -> float
 (** Pearson correlation coefficient of paired samples, in [-1, 1].
     0 for fewer than two pairs or when either side is constant. *)
 val pearson : (float * float) list -> float
-
-(** Human-readable byte counts, e.g. [72 MB], [413 MB], [1.7 GB]. *)
-val pp_bytes : Format.formatter -> int -> unit
-
-(** Human-readable counts, e.g. [160 K], [2.1 M]. *)
-val pp_count : Format.formatter -> int -> unit

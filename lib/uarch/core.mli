@@ -72,8 +72,7 @@ val reset : t -> unit
     float gauge, not an event count. *)
 val counters_assoc : counters -> (string * int) list
 
-(** [publish ?ctx ~name t] records every counter into the context
-    recorder's metrics registry as ["uarch.<name>.<counter>"] (default
-    recorder: {!Obs.Recorder.global}). [name] labels the run, e.g.
+(** [publish ~ctx ~name t] records every counter into the context
+    recorder's metrics registry as ["uarch.<name>.<counter>"]. [name] labels the run, e.g.
     ["base"] or ["propeller"]. *)
-val publish : ?ctx:Support.Ctx.t -> name:string -> t -> unit
+val publish : ctx:Support.Ctx.t -> name:string -> t -> unit

@@ -17,6 +17,30 @@ if git status --porcelain | awk '{print $2}' | grep -q '^_build/'; then
   exit 1
 fi
 
+echo "== module-level state allowlist =="
+# Run-wide mutable state is owned by a Support.Ctx.t, a build env or an
+# artifact, and reaches code through arguments. A module-level ref,
+# hash table, mutex or atomic in lib/ is process-global state: each one
+# must be listed here, with its reason in a comment at its definition.
+# The list is exact, so a removed item must leave it too.
+state_allowlist='lib/buildsys/driver.ml:func_digests
+lib/buildsys/driver.ml:func_digests_m
+lib/obs/hostclock.ml:last
+lib/support/pool.ml:live_m
+lib/support/pool.ml:live_pools'
+state_found=$(find lib -name '*.ml' | sort | xargs perl -0ne '
+  while (/^let\s+([a-z_][A-Za-z0-9_\x27]*)\s*(?::[^=\n]*)?=\s*(?:ref\b|Hashtbl\.create|[A-Za-z_.]*Tbl\.create|Mutex\.create|Atomic\.make)/mg) {
+    print "$ARGV:$1\n"
+  }' | LC_ALL=C sort)
+if [ "$state_found" != "$state_allowlist" ]; then
+  echo "FAIL: module-level mutable state in lib/ differs from the allowlist" >&2
+  echo "found:" >&2
+  echo "$state_found" >&2
+  echo "allowed:" >&2
+  echo "$state_allowlist" >&2
+  exit 1
+fi
+
 echo "== dune build =="
 dune build
 
@@ -403,4 +427,4 @@ scripts/bench_diff.sh bench/baseline.json "$out_dir/bench.json" 5 || {
   exit 1
 }
 
-echo "OK: build + tests + trace smoke + sampled smoke + fidelity smoke + policy smoke + search smoke + fault smoke + fleet smoke + bench gate all green"
+echo "OK: state allowlist + build + tests + trace smoke + sampled smoke + fidelity smoke + policy smoke + search smoke + fault smoke + fleet smoke + bench gate all green"

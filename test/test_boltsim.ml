@@ -4,7 +4,7 @@ open Testutil
 let fixture =
   lazy
     (let spec, program = medium_program ~seed:21L () in
-     let env = Buildsys.Driver.make_env () in
+     let env = Buildsys.Driver.make_env ~ctx:(fresh_ctx ()) () in
      let bm =
        Buildsys.Driver.build env ~name:"bm" ~program ~codegen_options:Codegen.default_options
          ~link_options:{ Linker.Link.default_options with emit_relocs = true }
@@ -16,7 +16,7 @@ let fixture =
        | None -> false
      in
      let bolt =
-       Boltsim.Driver.optimize ~profile ~binary:bm.binary ~is_asm
+       Boltsim.Driver.optimize ~ctx:(fresh_ctx ()) ~profile ~binary:bm.binary ~is_asm
          ~hazards:Boltsim.Driver.no_hazards ~name:"bolted" ()
      in
      (spec, program, bm, profile, bolt))
@@ -49,7 +49,7 @@ let test_rewrite_trace_invariant () =
   let spec, program, bm, _, bolt = Lazy.force fixture in
   let run binary =
     let image = Exec.Image.build program binary in
-    Exec.Interp.run image
+    Exec.Interp.run ~ctx:(fresh_ctx ()) image
       { Exec.Interp.default_config with requests = spec.requests }
       Exec.Event.null
   in
@@ -64,7 +64,7 @@ let test_rewrite_improves_layout () =
     let image = Exec.Image.build program binary in
     let core = Uarch.Core.create Uarch.Core.default_config in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image
+      Exec.Interp.run ~ctx:(fresh_ctx ()) image
         { Exec.Interp.default_config with requests = spec.requests }
         (Uarch.Core.sink core)
     in
@@ -77,7 +77,7 @@ let test_asm_functions_skipped () =
   let _, program, bm, profile, _ = Lazy.force fixture in
   (* Force every function to be "assembly": nothing is rewritten. *)
   let bolt =
-    Boltsim.Driver.optimize ~profile ~binary:bm.binary
+    Boltsim.Driver.optimize ~ctx:(fresh_ctx ()) ~profile ~binary:bm.binary
       ~is_asm:(fun _ -> true)
       ~hazards:Boltsim.Driver.no_hazards ~name:"allasm" ()
   in
@@ -88,13 +88,13 @@ let test_asm_functions_skipped () =
 let test_hazards_crash () =
   let _, _, bm, profile, _ = Lazy.force fixture in
   let bolt =
-    Boltsim.Driver.optimize ~profile ~binary:bm.binary ~is_asm:(fun _ -> false)
+    Boltsim.Driver.optimize ~ctx:(fresh_ctx ()) ~profile ~binary:bm.binary ~is_asm:(fun _ -> false)
       ~hazards:{ Boltsim.Driver.rseq = true; fips_check = false }
       ~name:"rseq" ()
   in
   check tb "rseq binary fails startup" false bolt.startup_ok;
   let bolt2 =
-    Boltsim.Driver.optimize ~profile ~binary:bm.binary ~is_asm:(fun _ -> false)
+    Boltsim.Driver.optimize ~ctx:(fresh_ctx ()) ~profile ~binary:bm.binary ~is_asm:(fun _ -> false)
       ~hazards:{ Boltsim.Driver.rseq = false; fips_check = true }
       ~name:"fips" ()
   in
@@ -103,8 +103,8 @@ let test_hazards_crash () =
 let test_lite_lowers_memory () =
   let _, _, bm, profile, _ = Lazy.force fixture in
   let run options =
-    Boltsim.Driver.optimize ~options ~profile ~binary:bm.binary ~is_asm:(fun _ -> false)
-      ~hazards:Boltsim.Driver.no_hazards ~name:"m" ()
+    Boltsim.Driver.optimize ~ctx:(fresh_ctx ()) ~options ~profile ~binary:bm.binary
+      ~is_asm:(fun _ -> false) ~hazards:Boltsim.Driver.no_hazards ~name:"m" ()
   in
   let lite = run Boltsim.Driver.fast_options in
   let full = run Boltsim.Driver.perf_options in

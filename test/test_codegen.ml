@@ -145,7 +145,11 @@ let test_intra_order_inline_asm_pinned () =
 
 let test_compile_unit_sections () =
   let u = Ir.Cunit.make ~name:"u" ~rodata:128 ~data:64 [ diamond_func (); loop_func () ] in
-  let o = Codegen.compile_unit { Codegen.default_options with emit_bb_addr_map = true } u in
+  let o =
+    Codegen.compile_unit ~ctx:(fresh_ctx ())
+      { Codegen.default_options with emit_bb_addr_map = true }
+      u
+  in
   check ti "two text sections" 2 (Objfile.File.num_text_sections o);
   check tb "has eh_frame" true (Objfile.File.size_by_kind o Objfile.Section.Eh_frame > 0);
   check ti "rodata carried" 128 (Objfile.File.size_by_kind o Objfile.Section.Rodata);
@@ -154,7 +158,7 @@ let test_compile_unit_sections () =
 
 let test_eh_frame_grows_with_clusters () =
   let u = Ir.Cunit.make ~name:"u" [ diamond_func () ] in
-  let plain = Codegen.compile_unit Codegen.default_options u in
+  let plain = Codegen.compile_unit ~ctx:(fresh_ctx ()) Codegen.default_options u in
   let split_plan =
     [
       {
@@ -163,7 +167,9 @@ let test_eh_frame_grows_with_clusters () =
       };
     ]
   in
-  let split = Codegen.compile_unit { Codegen.default_options with plans = split_plan } u in
+  let split =
+    Codegen.compile_unit ~ctx:(fresh_ctx ()) { Codegen.default_options with plans = split_plan } u
+  in
   check tb "split pays CFI overhead (4.4)" true
     (Objfile.File.size_by_kind split Objfile.Section.Eh_frame
     > Objfile.File.size_by_kind plain Objfile.Section.Eh_frame)
@@ -180,7 +186,9 @@ let test_inline_asm_plan_ignored () =
       };
     ]
   in
-  let o = Codegen.compile_unit { Codegen.default_options with plans = plan } u in
+  let o =
+    Codegen.compile_unit ~ctx:(fresh_ctx ()) { Codegen.default_options with plans = plan } u
+  in
   check ti "asm function stays in one section" 1 (Objfile.File.num_text_sections o)
 
 (* --- Directive serialization -------------------------------------- *)

@@ -112,7 +112,7 @@ let test_layout_exact () =
 let test_report_deterministic () =
   let run () =
     let spec, program = medium_program () in
-    let env = Buildsys.Driver.make_env () in
+    let env = Buildsys.Driver.make_env ~ctx:(fresh_ctx ()) () in
     let result =
       Propeller.Pipeline.run
         ~config:

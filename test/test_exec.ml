@@ -5,7 +5,7 @@ let build_image ?codegen ?link program =
   (binary, Exec.Image.build program binary)
 
 let run ?(requests = 20) image sink =
-  Exec.Interp.run image { Exec.Interp.default_config with requests } sink
+  Exec.Interp.run ~ctx:(fresh_ctx ()) image { Exec.Interp.default_config with requests } sink
 
 let test_image_block_fidelity () =
   let program = call_program () in
@@ -145,7 +145,7 @@ let test_call_depth_elision () =
   in
   let _, image = build_image program in
   let stats =
-    Exec.Interp.run image
+    Exec.Interp.run ~ctx:(fresh_ctx ()) image
       { Exec.Interp.default_config with requests = 3; call_depth_limit = 1 }
       Exec.Event.null
   in
@@ -164,7 +164,7 @@ let test_step_budget () =
   let program = Ir.Program.make ~name:"p" ~main:"main" [ Ir.Cunit.make ~name:"u" [ f ] ] in
   let _, image = build_image program in
   let stats =
-    Exec.Interp.run image
+    Exec.Interp.run ~ctx:(fresh_ctx ()) image
       { Exec.Interp.default_config with requests = 2; max_steps_per_request = 100 }
       Exec.Event.null
   in
@@ -198,9 +198,10 @@ let allocation_slope image ~drain =
      Each run pays a fixed setup cost (the event tape, the visits
      array, the interpreter state), so the per-request marginal cost is
      the slope between two request counts, not a single quotient. *)
+  let ctx = fresh_ctx () in
   let measure requests =
     let config = { Exec.Interp.default_config with requests } in
-    let run () = ignore (Exec.Interp.run_tape image config ~drain : Exec.Interp.stats) in
+    let run () = ignore (Exec.Interp.run_tape ~ctx image config ~drain : Exec.Interp.stats) in
     (* Warm-up: grow the tape and the consumer's tables to steady capacity. *)
     for _ = 1 to 3 do
       run ()

@@ -5,7 +5,7 @@ open Testutil
 let fixture =
   lazy
     (let spec, program = medium_program () in
-     let env = Buildsys.Driver.make_env () in
+     let env = Buildsys.Driver.make_env ~ctx:(fresh_ctx ()) () in
      let result =
        Propeller.Pipeline.run
          ~config:
@@ -137,7 +137,7 @@ let test_annotate_counts_attributed () =
    must render byte-identical JSON: the acceptance bar for every view. *)
 let fresh_view () =
   let spec, program = medium_program () in
-  let env = Buildsys.Driver.make_env () in
+  let env = Buildsys.Driver.make_env ~ctx:(fresh_ctx ()) () in
   let result =
     Propeller.Pipeline.run
       ~config:

@@ -59,7 +59,7 @@ let test_propeller_improves_frontend_counters () =
   (* On a mid-sized program with cold paths, Propeller must cut iTLB
      misses (the 4.6 effect) and not increase taken branches. *)
   let spec, program = medium_program ~seed:99L () in
-  let env = Buildsys.Driver.make_env () in
+  let env = Buildsys.Driver.make_env ~ctx:(fresh_ctx ()) () in
   let base = Propeller.Pipeline.baseline_build ~env ~program ~name:"b" in
   let prop =
     Propeller.Pipeline.run
@@ -74,7 +74,7 @@ let test_propeller_improves_frontend_counters () =
     let image = Exec.Image.build program binary in
     let core = Uarch.Core.create Uarch.Core.default_config in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image
+      Exec.Interp.run ~ctx:(fresh_ctx ()) image
         { Exec.Interp.default_config with requests = spec.requests }
         (Uarch.Core.sink core)
     in
@@ -90,7 +90,7 @@ let test_full_cycle_determinism () =
   (* The whole pipeline is reproducible end to end. *)
   let run () =
     let spec, program = medium_program ~seed:5L () in
-    let env = Buildsys.Driver.make_env () in
+    let env = Buildsys.Driver.make_env ~ctx:(fresh_ctx ()) () in
     let prop =
       Propeller.Pipeline.run
         ~config:
@@ -123,9 +123,11 @@ let test_exploded_sections_cost_more () =
           { Codegen.Directive.func = f.name; clusters } :: acc
         end)
   in
-  let objs_plain = Codegen.compile_program Codegen.default_options program in
+  let objs_plain = Codegen.compile_program ~ctx:(fresh_ctx ()) Codegen.default_options program in
   let objs_exploded =
-    Codegen.compile_program { Codegen.default_options with plans = all_bb_plans } program
+    Codegen.compile_program ~ctx:(fresh_ctx ())
+      { Codegen.default_options with plans = all_bb_plans }
+      program
   in
   let total objs = List.fold_left (fun a o -> a + Objfile.File.total_size o) 0 objs in
   let sections objs =
@@ -139,7 +141,7 @@ let test_table3_shape_mcf () =
      gains are tiny (within +-2%), unlike warehouse apps. *)
   let spec = { (Option.get (Progen.Suite.by_name "505.mcf")) with Progen.Spec.requests = 60 } in
   let program = Progen.Generate.program spec in
-  let env = Buildsys.Driver.make_env () in
+  let env = Buildsys.Driver.make_env ~ctx:(fresh_ctx ()) () in
   let base = Propeller.Pipeline.baseline_build ~env ~program ~name:"mcf.b" in
   let prop =
     Propeller.Pipeline.run
@@ -154,7 +156,9 @@ let test_table3_shape_mcf () =
     let image = Exec.Image.build program binary in
     let core = Uarch.Core.create Uarch.Core.default_config in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image { Exec.Interp.default_config with requests = 60 } (Uarch.Core.sink core)
+      Exec.Interp.run ~ctx:(fresh_ctx ()) image
+        { Exec.Interp.default_config with requests = 60 }
+        (Uarch.Core.sink core)
     in
     Uarch.Core.cycles core
   in

@@ -130,7 +130,7 @@ let policy_contract_law =
         (fun (pol : Layout.Policy.t) ->
           let order = pol.order (problem g) in
           is_permutation n order && List.hd order = 0)
-        (Layout.Policy.all ()))
+        Layout.Policy.all)
 
 let policy_nonzero_entry_law =
   QCheck.Test.make ~count:60 ~name:"policies pin a non-zero entry" graph_arb
@@ -140,7 +140,7 @@ let policy_nonzero_entry_law =
         (fun (pol : Layout.Policy.t) ->
           let order = pol.order (problem ~entry g) in
           is_permutation n order && List.hd order = entry)
-        (Layout.Policy.all ()))
+        Layout.Policy.all)
 
 (* local-search starts from the Ext-TSP layout and only accepts strict
    improvements, so it can never score below its seed. *)
@@ -154,7 +154,7 @@ let local_search_dominates_law =
       s_ls >= s_tsp -. 1e-9)
 
 let test_policy_registry () =
-  let names = Layout.Policy.names () in
+  let names = Layout.Policy.names in
   List.iter
     (fun n -> check tb (n ^ " registered") true (List.mem n names))
     [ "exttsp"; "exttsp-linear"; "callchain"; "greedy"; "hillclimb"; "local-search" ];
@@ -211,7 +211,7 @@ let test_search_budget_and_baseline () =
     r.entries;
   (* Opening round covers every registered policy (budget permitting). *)
   let opening = List.filter (fun (e : Layout.Search.entry) -> e.round = 0) r.entries in
-  check ti "opening = all policies" (List.length (Layout.Policy.names ())) (List.length opening)
+  check ti "opening = all policies" (List.length Layout.Policy.names) (List.length opening)
 
 let test_search_tiny_budget () =
   let r = Layout.Search.run ~seed:1 ~budget:2 ~evaluate:synth_eval () in

@@ -130,9 +130,9 @@ let test_ordering_unlisted_trail () =
 let test_duplicate_symbol_error () =
   let f1 = diamond_func ~name:"dup" () in
   let u1 = Ir.Cunit.make ~name:"u1" [ f1 ] in
-  let o1 = Codegen.compile_unit Codegen.default_options u1 in
+  let o1 = Codegen.compile_unit ~ctx:(fresh_ctx ()) Codegen.default_options u1 in
   try
-    ignore (Linker.Link.link ~name:"t" ~entry:"dup" [ o1; o1 ]);
+    ignore (Linker.Link.link ~ctx:(fresh_ctx ()) ~name:"t" ~entry:"dup" [ o1; o1 ]);
     Alcotest.fail "expected duplicate symbol error"
   with Linker.Link.Link_error _ -> ()
 
@@ -142,16 +142,21 @@ let test_unresolved_symbol_error () =
       [| Ir.Block.make ~id:0 ~body:[ Ir.Inst.DirectCall "ghost" ] ~term:Ir.Term.Return () |]
   in
   (* Bypass Program.make validation by lowering the unit directly. *)
-  let o = Codegen.compile_unit Codegen.default_options (Ir.Cunit.make ~name:"u" [ f ]) in
+  let o =
+    Codegen.compile_unit ~ctx:(fresh_ctx ()) Codegen.default_options (Ir.Cunit.make ~name:"u" [ f ])
+  in
   try
-    ignore (Linker.Link.link ~name:"t" ~entry:"main" [ o ]);
+    ignore (Linker.Link.link ~ctx:(fresh_ctx ()) ~name:"t" ~entry:"main" [ o ]);
     Alcotest.fail "expected unresolved symbol error"
   with Linker.Link.Link_error _ -> ()
 
 let test_missing_entry_error () =
-  let o = Codegen.compile_unit Codegen.default_options (Ir.Cunit.make ~name:"u" [ diamond_func () ]) in
+  let o =
+    Codegen.compile_unit ~ctx:(fresh_ctx ()) Codegen.default_options
+      (Ir.Cunit.make ~name:"u" [ diamond_func () ])
+  in
   try
-    ignore (Linker.Link.link ~name:"t" ~entry:"nope" [ o ]);
+    ignore (Linker.Link.link ~ctx:(fresh_ctx ()) ~name:"t" ~entry:"nope" [ o ]);
     Alcotest.fail "expected missing entry error"
   with Linker.Link.Link_error _ -> ()
 

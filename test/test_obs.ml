@@ -111,8 +111,7 @@ let test_histogram_small_counts () =
   check tf "n=2 median interpolates" 1.5 s2.median;
   check tf "n=2 p90" 1.9 s2.p90;
   check tf "n=2 p99" 1.99 s2.p99;
-  (* Support.Stats must agree byte-for-byte (two implementations, one
-     contract — obs cannot depend on support). *)
+  (* Support.Stats re-exports the same percentile. *)
   List.iter
     (fun (p, expect) ->
       check tf

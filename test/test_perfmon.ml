@@ -42,7 +42,7 @@ let test_sampling_period_thins_profile () =
     let profile = Perfmon.Lbr.create_profile () in
     let image = Exec.Image.build program binary in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image
+      Exec.Interp.run ~ctx:(fresh_ctx ()) image
         { Exec.Interp.default_config with requests = 30 }
         (Perfmon.Lbr.collector { Perfmon.Lbr.default_config with period } profile)
     in
@@ -91,7 +91,7 @@ let samples_of ?(config = Perfmon.Sampler.default_config) ?(requests = 40) progr
   let profile = Perfmon.Sampler.create_profile () in
   let image = Exec.Image.build program binary in
   let stats =
-    Exec.Interp.run image
+    Exec.Interp.run ~ctx:(fresh_ctx ()) image
       { Exec.Interp.default_config with requests }
       (Perfmon.Sampler.collector config profile)
   in
@@ -189,7 +189,7 @@ let pebs_of ?(period = Perfmon.Pebs.default_config.Perfmon.Pebs.period) ?(reques
   let profile = Perfmon.Pebs.create_profile () in
   let image = Exec.Image.build program binary in
   let stats =
-    Exec.Interp.run image
+    Exec.Interp.run ~ctx:(fresh_ctx ()) image
       { Exec.Interp.default_config with requests }
       (Perfmon.Pebs.collector { Perfmon.Pebs.period } profile)
   in

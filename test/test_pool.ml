@@ -109,18 +109,6 @@ let test_shutdown_idempotent () =
   let got = Support.Pool.map_array pool 5 (fun i -> i + 1) in
   check tb "post-shutdown batches run inline" true (got = [| 1; 2; 3; 4; 5 |])
 
-let test_default_jobs_env_and_override () =
-  let saved = Support.Pool.default_jobs () in
-  Support.Pool.set_default_jobs 3;
-  check ti "set_default_jobs visible" 3 (Support.Pool.default_jobs ());
-  let pool = Support.Pool.global () in
-  check ti "global pool tracks default" 3 (Support.Pool.jobs pool);
-  (try
-     Support.Pool.set_default_jobs 0;
-     Alcotest.fail "jobs=0 accepted"
-   with Invalid_argument _ -> ());
-  Support.Pool.set_default_jobs saved
-
 let suite =
   [
     Alcotest.test_case "empty batch" `Quick test_empty_batch;
@@ -133,5 +121,4 @@ let suite =
     Alcotest.test_case "jobs=1 is the sequential path" `Quick test_jobs1_runs_inline_in_order;
     Alcotest.test_case "stats account all tasks" `Quick test_stats_account_all_tasks;
     Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
-    Alcotest.test_case "default jobs plumbing" `Quick test_default_jobs_env_and_override;
   ]

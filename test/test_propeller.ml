@@ -4,7 +4,7 @@ open Testutil
 let fixture =
   lazy
     (let spec, program = medium_program () in
-     let env = Buildsys.Driver.make_env () in
+     let env = Buildsys.Driver.make_env ~ctx:(fresh_ctx ()) () in
      let result =
        Propeller.Pipeline.run
          ~config:
@@ -116,7 +116,7 @@ let test_wpa_ordering_covers_primaries () =
 let test_wpa_interproc_plans_valid () =
   let _, program, _, result = Lazy.force (fixture) in
   let wpa =
-    Propeller.Wpa.analyze
+    Propeller.Wpa.analyze ~ctx:(fresh_ctx ())
       ~config:{ Propeller.Wpa.default_config with mode = Propeller.Wpa.Interproc }
       ~profile:(Propeller.Wpa.Lbr result.profile) ~binary:result.metadata_build.binary ()
   in
@@ -139,7 +139,7 @@ let test_wpa_interproc_plans_valid () =
 let test_wpa_split_functions_off () =
   let _, _, _, result = Lazy.force (fixture) in
   let wpa =
-    Propeller.Wpa.analyze
+    Propeller.Wpa.analyze ~ctx:(fresh_ctx ())
       ~config:{ Propeller.Wpa.default_config with split_functions = false }
       ~profile:(Propeller.Wpa.Lbr result.profile) ~binary:result.metadata_build.binary ()
   in
@@ -186,7 +186,7 @@ let test_pipeline_improves_performance () =
     let image = Exec.Image.build program binary in
     let core = Uarch.Core.create Uarch.Core.default_config in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image
+      Exec.Interp.run ~ctx:(fresh_ctx ()) image
         { Exec.Interp.default_config with requests = spec.requests }
         (Uarch.Core.sink core)
     in
@@ -207,7 +207,7 @@ let test_pipeline_phase_times () =
 
 let test_run_rounds () =
   let spec, program = medium_program ~seed:31L () in
-  let env = Buildsys.Driver.make_env () in
+  let env = Buildsys.Driver.make_env ~ctx:(fresh_ctx ()) () in
   let rounds =
     Propeller.Pipeline.run_rounds ~rounds:2
       ~config:
@@ -222,8 +222,10 @@ let test_run_rounds () =
   (* Round 2's metadata binary already uses round 1's layout: its hot
      primaries lead its text. *)
   check tb "round 2 profiled an optimized layout" true
-    (r2.metadata_build.binary.Linker.Binary.uid
-    <> r1.metadata_build.binary.Linker.Binary.uid);
+    (not
+       (Support.Digesting.equal
+          (Linker.Binary.image_digest r2.metadata_build.binary)
+          (Linker.Binary.image_digest r1.metadata_build.binary)));
   List.iter
     (fun (r : Propeller.Pipeline.result) ->
       List.iter
@@ -239,7 +241,7 @@ let test_run_rounds () =
     let image = Exec.Image.build program (Propeller.Pipeline.optimized_binary r) in
     let core = Uarch.Core.create Uarch.Core.default_config in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image
+      Exec.Interp.run ~ctx:(fresh_ctx ()) image
         { Exec.Interp.default_config with requests = spec.requests }
         (Uarch.Core.sink core)
     in
@@ -255,7 +257,8 @@ let test_incremental_layout_cache () =
   let _, profile = run_with_profile ~requests:40 program binary in
   let cache = Buildsys.Cache.create () in
   let analyze () =
-    Propeller.Wpa.analyze ~layout_cache:cache ~profile:(Propeller.Wpa.Lbr profile) ~binary ()
+    Propeller.Wpa.analyze ~ctx:(fresh_ctx ()) ~layout_cache:cache
+      ~profile:(Propeller.Wpa.Lbr profile) ~binary ()
   in
   let cold = analyze () in
   check ti "cold run misses every hot function" cold.hot_funcs cold.layout_cache_misses;
@@ -304,11 +307,11 @@ let test_incremental_layout_cache () =
       ~codegen_options:{ Codegen.default_options with emit_bb_addr_map = true; plans = wpa.plans }
       ~link_options:{ Linker.Link.default_options with ordering = Some wpa.ordering }
   in
-  let warm_env = Buildsys.Driver.make_env () in
+  let warm_env = Buildsys.Driver.make_env ~ctx:(fresh_ctx ()) () in
   ignore (build warm_env "inc.v1" warm);
   let incr_b = build warm_env "inc.v2" dirty in
   check tb "incremental relink reuses cached objects" true (incr_b.cache_hits > 0);
-  let cold_b = build (Buildsys.Driver.make_env ()) "inc.v2" dirty in
+  let cold_b = build (Buildsys.Driver.make_env ~ctx:(fresh_ctx ()) ()) "inc.v2" dirty in
   check tb "incremental image = cold relink image" true
     (Support.Digesting.equal
        (Linker.Binary.image_digest incr_b.binary)
@@ -321,7 +324,7 @@ let sampled_fixture =
   lazy
     (let spec, program = medium_program () in
      let run () =
-       let env = Buildsys.Driver.make_env () in
+       let env = Buildsys.Driver.make_env ~ctx:(fresh_ctx ()) () in
        Propeller.Pipeline.run
          ~config:
            {
@@ -412,7 +415,7 @@ let test_policy_unknown_rejected () =
   let _, _, _, result = Lazy.force (fixture) in
   try
     ignore
-      (Propeller.Wpa.analyze
+      (Propeller.Wpa.analyze ~ctx:(fresh_ctx ())
          ~config:{ Propeller.Wpa.default_config with layout_policy = "nope" }
          ~profile:(Propeller.Wpa.Lbr result.profile) ~binary:result.metadata_build.binary ());
     Alcotest.fail "expected rejection of unknown layout policy"
@@ -450,7 +453,7 @@ let test_autofdo_requires_metadata () =
   let _, program, run = Lazy.force sampled_fixture in
   let r = run () in
   let samples = Option.get r.Propeller.Pipeline.samples in
-  let env = Buildsys.Driver.make_env () in
+  let env = Buildsys.Driver.make_env ~ctx:(fresh_ctx ()) () in
   let base = Propeller.Pipeline.baseline_build ~env ~program ~name:"sampled.base" in
   Alcotest.check_raises "synthesize rejects map-less binary"
     (Invalid_argument "Autofdo.synthesize: binary has no .llvm_bb_addr_map")
@@ -469,7 +472,9 @@ let test_wpa_shard_drop_accounting () =
   let _, program = medium_program () in
   let _, { Linker.Link.binary; _ } = metadata_link program in
   let _, profile = run_with_profile ~requests:100 program binary in
-  let clean = Propeller.Wpa.analyze ~profile:(Propeller.Wpa.Lbr profile) ~binary () in
+  let clean =
+    Propeller.Wpa.analyze ~ctx:(fresh_ctx ()) ~profile:(Propeller.Wpa.Lbr profile) ~binary ()
+  in
   check ti "no plan, nothing dropped" 0 clean.shards_dropped;
   check ti "no plan, no lost funcs" 0 clean.dropped_hot_funcs;
   (* Lose profile shards at rate 0.5 over 8 shards. *)
@@ -496,6 +501,45 @@ let test_wpa_shard_drop_accounting () =
   check ti "replayed drops identical" faulted.shards_dropped again.shards_dropped;
   check ti "replayed losses identical" faulted.dropped_hot_funcs again.dropped_hot_funcs;
   check tb "replayed ordering identical" true (faulted.ordering = again.ordering)
+
+(* Heap-steady law: everything a run builds is owned by its context,
+   its env or its artifacts, so once a fresh-env run's result is
+   dropped nothing it built stays reachable. Six fresh-context,
+   fresh-env 505.mcf runs at 40 requests; after a full major GC, live
+   words must not grow from run 2 on (run 1 may fill process-wide
+   memos, e.g. the function-digest table). *)
+let heap_law_runs = 6
+
+let heap_law_max_slope = 1000.0
+
+let test_heap_steady_across_runs () =
+  let spec = { (Option.get (Progen.Suite.by_name "505.mcf")) with Progen.Spec.requests = 40 } in
+  let program = Progen.Generate.program spec in
+  let config =
+    {
+      Propeller.Pipeline.default_config with
+      profile_run = { Exec.Interp.default_config with requests = spec.requests };
+    }
+  in
+  let live_after_run () =
+    let env = Buildsys.Driver.make_env ~ctx:(fresh_ctx ()) () in
+    let r = Propeller.Pipeline.run ~config ~env ~program ~name:spec.name () in
+    let digest = Linker.Binary.image_digest (Propeller.Pipeline.optimized_binary r) in
+    ignore (digest : Support.Digesting.t);
+    Gc.full_major ();
+    float_of_int (Gc.stat ()).live_words
+  in
+  let live = List.init heap_law_runs (fun _ -> live_after_run ()) in
+  (* Least-squares slope of live words over runs 2..n. *)
+  let ys = List.tl live in
+  let xs = List.init (List.length ys) float_of_int in
+  let mx = Support.Stats.mean xs and my = Support.Stats.mean ys in
+  let cov = List.fold_left2 (fun acc x y -> acc +. ((x -. mx) *. (y -. my))) 0.0 xs ys in
+  let var = List.fold_left (fun acc x -> acc +. ((x -. mx) *. (x -. mx))) 0.0 xs in
+  let slope = cov /. var in
+  if slope > heap_law_max_slope then
+    Alcotest.failf "live words grow %.0f words/run from run 2 (readings: %s)" slope
+      (String.concat ", " (List.map (Printf.sprintf "%.0f") live))
 
 let suite =
   [
@@ -524,4 +568,6 @@ let suite =
     Alcotest.test_case "policy: unknown rejected" `Quick test_policy_unknown_rejected;
     Alcotest.test_case "autofdo: synthesis sane" `Quick test_autofdo_synthesis_sane;
     Alcotest.test_case "autofdo: requires metadata" `Quick test_autofdo_requires_metadata;
+    Alcotest.test_case "pipeline: heap steady across fresh-env runs" `Quick
+      test_heap_steady_across_runs;
   ]

@@ -45,10 +45,11 @@ let random_plan rng (f : Ir.Func.t) =
   end
 
 let run_stats program plans =
-  let objs = Codegen.compile_program { Codegen.default_options with plans } program in
-  let { Linker.Link.binary; _ } = Linker.Link.link ~name:"p" ~entry:"main" objs in
+  let ctx = Testutil.fresh_ctx () in
+  let objs = Codegen.compile_program ~ctx { Codegen.default_options with plans } program in
+  let { Linker.Link.binary; _ } = Linker.Link.link ~ctx ~name:"p" ~entry:"main" objs in
   let image = Exec.Image.build program binary in
-  Exec.Interp.run image { Exec.Interp.default_config with requests = 10 } Exec.Event.null
+  Exec.Interp.run ~ctx image { Exec.Interp.default_config with requests = 10 } Exec.Event.null
 
 (* The flagship invariant: any valid re-layout preserves the logical
    trace (same blocks, calls, conditional branches, data-miss rolls). *)
@@ -76,8 +77,9 @@ let link_determinism_law =
     (fun input ->
       let program = make_program input in
       let build () =
-        let objs = Codegen.compile_program Codegen.default_options program in
-        (Linker.Link.link ~name:"d" ~entry:"main" objs).binary
+        let ctx = Testutil.fresh_ctx () in
+        let objs = Codegen.compile_program ~ctx Codegen.default_options program in
+        (Linker.Link.link ~ctx ~name:"d" ~entry:"main" objs).binary
       in
       let b1 = build () and b2 = build () in
       Hashtbl.fold
@@ -95,10 +97,12 @@ let bbmap_truth_law =
     (fun input ->
       let program = make_program input in
       let objs =
-        Codegen.compile_program { Codegen.default_options with emit_bb_addr_map = true } program
+        Codegen.compile_program ~ctx:(Testutil.fresh_ctx ())
+          { Codegen.default_options with emit_bb_addr_map = true }
+          program
       in
       let { Linker.Link.binary; _ } =
-        Linker.Link.link
+        Linker.Link.link ~ctx:(Testutil.fresh_ctx ())
           ~options:{ Linker.Link.default_options with keep_bb_addr_map = true }
           ~name:"m" ~entry:"main" objs
       in
@@ -122,9 +126,10 @@ let relax_monotone_law =
   QCheck.Test.make ~count:20 ~name:"relaxation shrinks text monotonically" program_arb
     (fun input ->
       let program = make_program input in
-      let objs = Codegen.compile_program Codegen.default_options program in
+      let ctx = Testutil.fresh_ctx () in
+      let objs = Codegen.compile_program ~ctx Codegen.default_options program in
       let link relax =
-        (Linker.Link.link ~options:{ Linker.Link.default_options with relax } ~name:"r"
+        (Linker.Link.link ~ctx ~options:{ Linker.Link.default_options with relax } ~name:"r"
            ~entry:"main" objs)
           .binary
       in
@@ -140,7 +145,7 @@ let pipeline_no_regression_law =
   QCheck.Test.make ~count:8 ~name:"pipeline regression bounded (10%)" program_arb
     (fun input ->
       let program = make_program input in
-      let env = Buildsys.Driver.make_env () in
+      let env = Buildsys.Driver.make_env ~ctx:(Testutil.fresh_ctx ()) () in
       let base = Propeller.Pipeline.baseline_build ~env ~program ~name:"b" in
       let prop =
         Propeller.Pipeline.run
@@ -155,7 +160,7 @@ let pipeline_no_regression_law =
         let image = Exec.Image.build program binary in
         let core = Uarch.Core.create Uarch.Core.default_config in
         let (_ : Exec.Interp.stats) =
-          Exec.Interp.run image
+          Exec.Interp.run ~ctx:(Testutil.fresh_ctx ()) image
             { Exec.Interp.default_config with requests = 30 }
             (Uarch.Core.sink core)
         in

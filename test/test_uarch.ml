@@ -171,7 +171,11 @@ let test_btb_capacity_pressure () =
 let core_run ?(hugepages = false) program binary requests =
   let image = Exec.Image.build program binary in
   let core = Uarch.Core.create { Uarch.Core.default_config with hugepages } in
-  let stats = Exec.Interp.run image { Exec.Interp.default_config with requests } (Uarch.Core.sink core) in
+  let stats =
+    Exec.Interp.run ~ctx:(fresh_ctx ()) image
+      { Exec.Interp.default_config with requests }
+      (Uarch.Core.sink core)
+  in
   (stats, Uarch.Core.counters core)
 
 let test_core_counter_sanity () =
@@ -379,7 +383,7 @@ let golden_huge =
 
 let test_core_golden_mcf () =
   let program = Progen.Generate.program (Option.get (Progen.Suite.by_name "505.mcf")) in
-  let env = Buildsys.Driver.make_env () in
+  let env = Buildsys.Driver.make_env ~ctx:(fresh_ctx ()) () in
   let base = (Propeller.Pipeline.baseline_build ~env ~program ~name:"gb").binary in
   let opt =
     Propeller.Pipeline.optimized_binary
@@ -394,7 +398,7 @@ let test_core_golden_mcf () =
   let simulate ?(config = Uarch.Core.default_config) binary =
     let core = Uarch.Core.create config in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run_tape (Exec.Image.build program binary)
+      Exec.Interp.run_tape ~ctx:(fresh_ctx ()) (Exec.Image.build program binary)
         { Exec.Interp.default_config with requests = 40 }
         ~drain:(Uarch.Core.consume core)
     in
@@ -421,7 +425,9 @@ let test_heatmap_accumulates () =
   in
   let image = Exec.Image.build program binary in
   let (_ : Exec.Interp.stats) =
-    Exec.Interp.run image { Exec.Interp.default_config with requests = 20 } (Uarch.Heatmap.sink hm)
+    Exec.Interp.run ~ctx:(fresh_ctx ()) image
+      { Exec.Interp.default_config with requests = 20 }
+      (Uarch.Heatmap.sink hm)
   in
   check tb "some rows touched" true (Uarch.Heatmap.occupied_rows hm > 0);
   let total = ref 0 in

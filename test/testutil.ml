@@ -11,6 +11,9 @@ let ts = Alcotest.string
 
 let tb = Alcotest.bool
 
+(* A fresh run context: its own recorder and a width-1 pool. *)
+let fresh_ctx () = Support.Ctx.create ()
+
 (* A block with [bytes] of pure compute. *)
 let compute_block ~id ~bytes ~term =
   Ir.Block.make ~id ~body:[ Ir.Inst.Compute bytes ] ~term ()
@@ -70,8 +73,9 @@ let medium_program ?(seed = 7L) () =
 
 let compile_and_link ?(codegen = Codegen.default_options) ?(link = Linker.Link.default_options)
     ?(name = "test") program =
-  let objs = Codegen.compile_program codegen program in
-  (objs, Linker.Link.link ~options:link ~name ~entry:(Ir.Program.main program) objs)
+  let ctx = fresh_ctx () in
+  let objs = Codegen.compile_program ~ctx codegen program in
+  (objs, Linker.Link.link ~ctx ~options:link ~name ~entry:(Ir.Program.main program) objs)
 
 let metadata_link program =
   compile_and_link
@@ -83,7 +87,7 @@ let run_with_profile ?(requests = 40) program binary =
   let image = Exec.Image.build program binary in
   let profile = Perfmon.Lbr.create_profile () in
   let stats =
-    Exec.Interp.run image
+    Exec.Interp.run ~ctx:(fresh_ctx ()) image
       { Exec.Interp.default_config with requests }
       (Perfmon.Lbr.collector Perfmon.Lbr.default_config profile)
   in
