@@ -230,7 +230,7 @@ let fig7 ctx =
     in
     let image = Exec.Image.build wb.program binary in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run ~ctx image (Workbench.interp_config wb.spec) (Uarch.Heatmap.sink hm)
+      Exec.Interp.run ~ctx image (Diagnostics.Measure.interp_config wb.spec) (Uarch.Heatmap.sink hm)
     in
     Printf.printf "\n%s (address span %s, touched rows %d/24):\n%s"
       label
@@ -357,13 +357,8 @@ let ablation_split ctx =
       Buildsys.Driver.build wb.env ~name:("clang." ^ label) ~program:wb.program
         ~codegen_options:cg ~link_options:ld
     in
-    let image = Exec.Image.build wb.program build.binary in
-    let core = Uarch.Core.create (Workbench.core_config wb.spec) in
-    let (_ : Exec.Interp.stats) =
-      Exec.Interp.run ~ctx image (Workbench.interp_config wb.spec) (Uarch.Core.sink core)
-    in
-    let c = Uarch.Core.counters core in
-    (label, split_count, c)
+    let _, core = Diagnostics.Measure.run ~ctx ~spec:wb.spec ~program:wb.program build.binary in
+    (label, split_count, Uarch.Core.counters core)
   in
   (* Variant A: split everything with cold blocks (bb sections). *)
   let plans_split = wb.prop.wpa.plans in
@@ -465,15 +460,14 @@ let ablation_prefetch ctx =
   let run prefetch =
     let env = Buildsys.Driver.make_env ~ctx () in
     Propeller.Pipeline.run
-      ~config:{ (Workbench.pipeline_config wb.spec) with prefetch }
+      ~config:{ (Diagnostics.Measure.pipeline_config wb.spec) with prefetch }
       ~env ~program:wb.program ~name:"mysql.pf" ()
   in
   let plain = run false and pf = run true in
   let measure (r : Propeller.Pipeline.result) =
-    let image = Exec.Image.build wb.program (Propeller.Pipeline.optimized_binary r) in
-    let core = Uarch.Core.create (Workbench.core_config wb.spec) in
-    let stats =
-      Exec.Interp.run ~ctx image (Workbench.interp_config wb.spec) (Uarch.Core.sink core)
+    let stats, core =
+      Diagnostics.Measure.run ~ctx ~spec:wb.spec ~program:wb.program
+        (Propeller.Pipeline.optimized_binary r)
     in
     (stats, Uarch.Core.counters core)
   in
@@ -509,19 +503,16 @@ let ablation_rounds ctx =
   let env = Buildsys.Driver.make_env ~ctx () in
   let rounds =
     Propeller.Pipeline.run_rounds ~rounds:2
-      ~config:(Workbench.pipeline_config wb.spec)
+      ~config:(Diagnostics.Measure.pipeline_config wb.spec)
       ~env ~program:wb.program ~name:"clang.rounds" ()
   in
   let base_cycles = (Workbench.measure wb Workbench.Base).counters.cycles in
   let rows =
     List.mapi
       (fun i (r : Propeller.Pipeline.result) ->
-        let image =
-          Exec.Image.build wb.program (Propeller.Pipeline.optimized_binary r)
-        in
-        let core = Uarch.Core.create (Workbench.core_config wb.spec) in
-        let (_ : Exec.Interp.stats) =
-          Exec.Interp.run ~ctx image (Workbench.interp_config wb.spec) (Uarch.Core.sink core)
+        let _, core =
+          Diagnostics.Measure.run ~ctx ~spec:wb.spec ~program:wb.program
+            (Propeller.Pipeline.optimized_binary r)
         in
         let c = Uarch.Core.counters core in
         [
@@ -560,11 +551,7 @@ let ablation_inter ctx =
       Buildsys.Driver.build wb.env ~name:("clang." ^ label) ~program:wb.program
         ~codegen_options:cg ~link_options:ld
     in
-    let image = Exec.Image.build wb.program b.binary in
-    let core = Uarch.Core.create (Workbench.core_config wb.spec) in
-    let (_ : Exec.Interp.stats) =
-      Exec.Interp.run ~ctx image (Workbench.interp_config wb.spec) (Uarch.Core.sink core)
-    in
+    let _, core = Diagnostics.Measure.run ~ctx ~spec:wb.spec ~program:wb.program b.binary in
     Uarch.Core.counters core
   in
   let ci = build "intra" wpa_intra in
@@ -660,12 +647,9 @@ let layout_search ctx =
         let program = Progen.Generate.program spec in
         let ctx = Support.Ctx.with_recorder ctx (Obs.Recorder.create ()) in
         let res =
-          Diagnostics.Lsearch.analyze
-            ~pipeline:(Workbench.pipeline_config spec)
-            ~core:(Workbench.core_config spec)
-            ~requests:spec.requests ~budget:14
+          Diagnostics.Lsearch.analyze ~budget:14
             ~seed:(Int64.to_int spec.seed land 0xffff)
-            ~ctx ~program ~name:spec.name ()
+            ~spec ~ctx ~program ()
         in
         [
           spec.name;

@@ -1,6 +1,6 @@
 (* Machine-readable bench output: one BENCH_*.json per run, stable
    schema (EXPERIMENTS.md "Bench JSON schema"), so successive PRs
-   accumulate a perf trajectory and `propeller_stat diff` can gate
+   accumulate a perf trajectory and `propeller stat diff` can gate
    regressions in CI. Everything here is a function of the simulated
    run: same seeds, byte-identical file. *)
 
@@ -110,7 +110,7 @@ let parallel_json (spec : Progen.Spec.t) ~jobs_sweep =
   | [] -> None
   | sweep ->
     let program = Codegen.Inline.program (Progen.Generate.program spec) in
-    let config = Workbench.pipeline_config spec in
+    let config = Diagnostics.Measure.pipeline_config spec in
     let points = List.map (fun j -> sweep_point ~config ~program ~spec j) sweep in
     let cold_1 =
       match points with (_, _, cold_s, _, _) :: _ -> cold_s | [] -> 0.0
@@ -171,7 +171,7 @@ let faulted_run ~config ~program ~(spec : Progen.Spec.t) plan =
    allowlist ignores it. *)
 let resilience_json (spec : Progen.Spec.t) =
   let program = Codegen.Inline.program (Progen.Generate.program spec) in
-  let config = Workbench.pipeline_config spec in
+  let config = Diagnostics.Measure.pipeline_config spec in
   let plan = fault_plan spec in
   let clean_digest, _ = faulted_run ~config ~program ~spec None in
   let d1, r1 = faulted_run ~config ~program ~spec (Some plan) in
@@ -208,7 +208,7 @@ let selfspeed_reps = 3
    the timed reps so allocation is attributed per warm relink. *)
 let selfspeed_json (spec : Progen.Spec.t) =
   let program = Codegen.Inline.program (Progen.Generate.program spec) in
-  let config = Workbench.pipeline_config spec in
+  let config = Diagnostics.Measure.pipeline_config spec in
   Support.Pool.with_pool ~jobs:1 (fun pool ->
       let recorder = Obs.Recorder.create () in
       let env =
@@ -231,7 +231,7 @@ let selfspeed_json (spec : Progen.Spec.t) =
       let image = Exec.Image.build program (Propeller.Pipeline.optimized_binary cold) in
       let t1 = Unix.gettimeofday () in
       let stats =
-        Exec.Interp.run ~ctx:env.ctx image (Workbench.interp_config spec) Exec.Event.null
+        Exec.Interp.run ~ctx:env.ctx image (Diagnostics.Measure.interp_config spec) Exec.Event.null
       in
       let interp_s = Unix.gettimeofday () -. t1 in
       let per_sec dur n = if dur > 0.0 then float_of_int n /. dur else 0.0 in
@@ -302,13 +302,7 @@ let fleet_json (spec : Progen.Spec.t) =
 let fidelity_json (spec : Progen.Spec.t) =
   let program = Progen.Generate.program spec in
   let ctx = Support.Ctx.create ~recorder:(Obs.Recorder.create ()) () in
-  let fid =
-    Diagnostics.Fidelity.analyze
-      ~pipeline:(Workbench.pipeline_config spec)
-      ~core:(Workbench.core_config spec)
-      ~requests:spec.requests ~ctx ~program ~name:spec.name ()
-  in
-  Diagnostics.Fidelity.to_json fid
+  Diagnostics.Fidelity.to_json (Diagnostics.Fidelity.analyze ~spec ~ctx ~program ())
 
 (* The layout-policy tournament: a small budget is enough to cover
    every registered policy (round 0) plus two mutation rounds. Seeded,
@@ -319,12 +313,9 @@ let layout_search_json (spec : Progen.Spec.t) =
   let program = Progen.Generate.program spec in
   let ctx = Support.Ctx.create ~recorder:(Obs.Recorder.create ()) () in
   let res =
-    Diagnostics.Lsearch.analyze
-      ~pipeline:(Workbench.pipeline_config spec)
-      ~core:(Workbench.core_config spec)
-      ~requests:spec.requests ~budget:layout_search_budget
+    Diagnostics.Lsearch.analyze ~budget:layout_search_budget
       ~seed:(Int64.to_int spec.seed land 0xffff)
-      ~ctx ~program ~name:spec.name ()
+      ~spec ~ctx ~program ()
   in
   Diagnostics.Lsearch.to_json res
 

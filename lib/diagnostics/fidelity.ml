@@ -22,26 +22,6 @@ type t = {
   cycle_gap_pct : float;
 }
 
-(* Ground-truth measurement of one binary: simulated cycles from the
-   core model and the achieved fall-through rate from the interpreter's
-   retired-branch statistics (same definition as Fleet.Machine). *)
-let measure ~ctx ~core ~requests ~program binary =
-  let image = Exec.Image.build program binary in
-  let c = Uarch.Core.create core in
-  let stats =
-    Exec.Interp.run_tape ~ctx image
-      { Exec.Interp.default_config with requests }
-      ~drain:(Uarch.Core.consume c)
-  in
-  let sites = stats.Exec.Interp.cond_branches + stats.Exec.Interp.uncond_jumps in
-  let ftr =
-    if sites = 0 then 0.0
-    else
-      float_of_int (stats.Exec.Interp.cond_branches - stats.Exec.Interp.cond_taken)
-      /. float_of_int sites
-  in
-  (Uarch.Core.cycles c, ftr)
-
 (* Per-function weight fractions of one profile: each hot function's
    share of total sample mass. Fractions, not raw counts — the two
    sources operate at wildly different sampling scales and only the
@@ -71,8 +51,8 @@ let correlate a b =
   in
   Support.Stats.pearson pairs
 
-let analyze ?(pipeline = Propeller.Pipeline.default_config)
-    ?(core = Uarch.Core.default_config) ?(requests = 40) ~ctx ~program ~name () =
+let analyze ~(spec : Progen.Spec.t) ~ctx ~program () =
+  let name = spec.name and pipeline = Measure.pipeline_config spec in
   let env = Buildsys.Driver.make_env ~ctx () in
   let base = Propeller.Pipeline.baseline_build ~env ~program ~name in
   let run source =
@@ -84,17 +64,17 @@ let analyze ?(pipeline = Propeller.Pipeline.default_config)
      run's PM objects all come from the shared env's cache. *)
   let rl = run Perfmon.Source.Lbr in
   let rs = run Perfmon.Source.Sampled in
-  let base_cycles, base_ftr =
-    measure ~ctx ~core ~requests ~program base.Buildsys.Driver.binary
-  in
+  (* Ground truth per binary: simulated cycles from the core model and
+     the achieved fall-through rate from the retired-branch statistics. *)
+  let base_stats, base_core = Measure.run ~ctx ~spec ~program base.Buildsys.Driver.binary in
+  let base_cycles = Uarch.Core.cycles base_core in
   let side (r : Propeller.Pipeline.result) =
     let dcfg =
       Propeller.Dcfg.build ~profile:r.profile ~binary:r.metadata_build.binary
     in
     let lq = Layoutq.analyze ~dcfg ~final:(Propeller.Pipeline.optimized_binary r) () in
-    let cycles, ftr =
-      measure ~ctx ~core ~requests ~program (Propeller.Pipeline.optimized_binary r)
-    in
+    let stats, core = Measure.run ~ctx ~spec ~program (Propeller.Pipeline.optimized_binary r) in
+    let cycles = Uarch.Core.cycles core in
     ( dcfg,
       {
         source = r.source;
@@ -103,7 +83,7 @@ let analyze ?(pipeline = Propeller.Pipeline.default_config)
         distinct_edges = Perfmon.Lbr.distinct_edges r.profile;
         hot_funcs = r.wpa.Propeller.Wpa.hot_funcs;
         exttsp_norm = lq.exttsp_norm;
-        fall_through_rate = ftr;
+        fall_through_rate = Measure.fall_through_rate stats;
         po_cycles = cycles;
         speedup_pct =
           (if base_cycles = 0.0 then 0.0
@@ -114,9 +94,9 @@ let analyze ?(pipeline = Propeller.Pipeline.default_config)
   let dcfg_s, sampled = side rs in
   {
     name;
-    requests;
+    requests = spec.requests;
     base_cycles;
-    base_fall_through_rate = base_ftr;
+    base_fall_through_rate = Measure.fall_through_rate base_stats;
     lbr;
     sampled;
     weight_correlation = correlate (weight_fractions dcfg_l) (weight_fractions dcfg_s);

@@ -41,21 +41,13 @@ type t = {
           LBR-profile one, in percent (positive = LBR wins). *)
 }
 
-(** [analyze ?pipeline ?core ?requests ~ctx ~program ~name ()] runs both
-    pipelines (sharing one build env, so the identical metadata phase is
-    built once) plus a baseline build, measures all three binaries under
-    [requests] of traffic on [core], and assembles the gap report.
-    Deterministic for a fixed configuration. Pipeline telemetry lands in
-    [ctx]'s recorder. *)
-val analyze :
-  ?pipeline:Propeller.Pipeline.config ->
-  ?core:Uarch.Core.config ->
-  ?requests:int ->
-  ctx:Support.Ctx.t ->
-  program:Ir.Program.t ->
-  name:string ->
-  unit ->
-  t
+(** [analyze ~spec ~ctx ~program ()] runs both pipelines (sharing one
+    build env, so the identical metadata phase is built once) plus a
+    baseline build, measures all three binaries through {!Measure.run},
+    and assembles the gap report. Configuration, core model and request
+    count all come from [spec]. Deterministic for a fixed [spec].
+    Pipeline telemetry lands in [ctx]'s recorder. *)
+val analyze : spec:Progen.Spec.t -> ctx:Support.Ctx.t -> program:Ir.Program.t -> unit -> t
 
 val to_json : t -> Obs.Json.t
 

@@ -20,24 +20,14 @@ type t = {
   entries : entry list;
 }
 
-(* Ground-truth cycles of one binary, same measurement as
-   Fidelity.measure: build the image, run the request tape, drain into
-   the core model. Control flow is a pure function of (block id, visit
-   count), so every layout sees the same work. *)
-let measure_cycles ~ctx ~core ~requests ~program binary =
-  let image = Exec.Image.build program binary in
-  let c = Uarch.Core.create core in
-  ignore
-    (Exec.Interp.run_tape ~ctx image
-       { Exec.Interp.default_config with requests }
-       ~drain:(Uarch.Core.consume c));
-  Uarch.Core.cycles c
-
-let analyze ?(pipeline = Propeller.Pipeline.default_config) ?(core = Uarch.Core.default_config)
-    ?(requests = 40) ?(budget = 12) ?(seed = 1) ~(ctx : Support.Ctx.t) ~program ~name () =
+let analyze ?(budget = 12) ?(seed = 1) ~(spec : Progen.Spec.t) ~(ctx : Support.Ctx.t) ~program
+    () =
+  let name = spec.name and pipeline = Measure.pipeline_config spec in
   let env = Buildsys.Driver.make_env ~ctx () in
   let base = Propeller.Pipeline.baseline_build ~env ~program ~name in
-  let base_cycles = measure_cycles ~ctx ~core ~requests ~program base.Buildsys.Driver.binary in
+  let base_cycles =
+    Uarch.Core.cycles (snd (Measure.run ~ctx ~spec ~program base.Buildsys.Driver.binary))
+  in
   (* One pipeline run supplies the shared profile and metadata binary;
      every candidate reuses them, so the tournament varies layout and
      nothing else. *)
@@ -61,7 +51,10 @@ let analyze ?(pipeline = Propeller.Pipeline.default_config) ?(core = Uarch.Core.
     let cand_name = Printf.sprintf "%s.cand%d" name !n_eval in
     incr n_eval;
     let b = Buildsys.Driver.build env ~name:cand_name ~program ~codegen_options ~link_options in
-    let cycles = measure_cycles ~ctx ~core ~requests ~program b.Buildsys.Driver.binary in
+    (* Fitness is ground-truth cycles. Control flow is a pure function of
+       (block id, visit count), so every layout sees the same work. *)
+    let _, core = Measure.run ~ctx ~spec ~program b.Buildsys.Driver.binary in
+    let cycles = Uarch.Core.cycles core in
     { Layout.Search.fitness = cycles; proxy = wpa.Propeller.Wpa.layout_score }
   in
   let report =
@@ -75,7 +68,7 @@ let analyze ?(pipeline = Propeller.Pipeline.default_config) ?(core = Uarch.Core.
   let winner = report.winner in
   {
     name;
-    requests;
+    requests = spec.requests;
     budget;
     seed;
     evaluated = List.length report.entries;

@@ -43,20 +43,18 @@ type t = {
   entries : entry list;  (** in evaluation order *)
 }
 
-(** [analyze ?pipeline ?core ?requests ?budget ?seed ~ctx ~program ~name
-    ()] runs one pipeline to obtain the shared profile and metadata
-    binary, then a [budget]-evaluation tournament (default 12) relinking
-    and executing each candidate. Per-round spans go to [ctx]'s
+(** [analyze ?budget ?seed ~spec ~ctx ~program ()] runs one pipeline to
+    obtain the shared profile and metadata binary, then a
+    [budget]-evaluation tournament (default 12) relinking and executing
+    each candidate through {!Measure.run}. Configuration, core model and
+    request count all come from [spec]. Per-round spans go to [ctx]'s
     recorder. Deterministic for fixed inputs at any [--jobs] width. *)
 val analyze :
-  ?pipeline:Propeller.Pipeline.config ->
-  ?core:Uarch.Core.config ->
-  ?requests:int ->
   ?budget:int ->
   ?seed:int ->
+  spec:Progen.Spec.t ->
   ctx:Support.Ctx.t ->
   program:Ir.Program.t ->
-  name:string ->
   unit ->
   t
 

@@ -95,15 +95,7 @@ let serve ~ctx ?(source = Perfmon.Source.Lbr)
   let served = stats.Exec.Interp.requests_completed in
   let cycles = Uarch.Core.cycles core in
   let cycles_per_request = cycles /. float_of_int (max 1 served) in
-  (* Layout quality as the hardware sees it: a good layout places the
-     hot successor of a conditional next (not taken) and relaxes away
-     unconditional jumps, so the not-taken share of all transfer sites
-     rises with layout quality. *)
-  let transfer_sites = stats.cond_branches + stats.uncond_jumps in
-  let fall_through_rate =
-    if transfer_sites = 0 then 0.0
-    else float_of_int (stats.cond_branches - stats.cond_taken) /. float_of_int transfer_sites
-  in
+  let fall_through_rate = Diagnostics.Measure.fall_through_rate stats in
   let mispredict_rate =
     if profile.Perfmon.Lbr.num_records = 0 then 0.0
     else

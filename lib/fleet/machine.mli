@@ -18,9 +18,7 @@ type shard = {
   requests : int;  (** Requests completed this round. *)
   cycles : float;  (** Modelled front-end cycles this round. *)
   cycles_per_request : float;
-  fall_through_rate : float;
-      (** Physically not-taken conditionals over all conditional +
-          unconditional transfer sites — rises as layout improves. *)
+  fall_through_rate : float;  (** {!Diagnostics.Measure.fall_through_rate}. *)
   mispredict_rate : float;  (** Mispredicted LBR records / records. *)
   profile : Perfmon.Lbr.profile;
 }

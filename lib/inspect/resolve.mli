@@ -54,22 +54,14 @@ val resolve : t -> int -> resolution
 
 val num_blocks : t -> int
 
-val find_block_index : t -> int -> int
-(** [find_block_index t addr] is the address-order index of the block
-    covering [addr], or [-1] when no block covers it (equivalently:
-    {!resolve} would not return [Code _]). *)
-
 val block_at : t -> int -> Linker.Binary.block_info
-(** The block at an address-order index returned by
-    {!find_block_index}/{!resolve_batch}. *)
+(** The block at an address-order index returned by {!resolve_batch}. *)
 
 val resolve_batch : t -> int array -> int array
 (** [resolve_batch t queries] resolves a whole batch of addresses to
-    block indices in one sweep: [out.(j) = find_block_index t
-    queries.(j)]. *)
-
-(** [section_at t addr] finds the placed text section covering [addr]. *)
-val section_at : t -> int -> Linker.Binary.placed option
+    block indices in one sweep: [out.(j)] is the address-order index of
+    the block covering [queries.(j)], or [-1] when no block covers it
+    (equivalently: {!resolve} would not return [Code _]). *)
 
 (** [blocks_of_func t func] lists the function's placed blocks as
     locations in final address order — primary and cold/cluster

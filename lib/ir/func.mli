@@ -14,8 +14,6 @@ type t = {
   attrs : attrs;
 }
 
-val default_attrs : attrs
-
 (** [make ~name ?attrs blocks] checks the block-id invariant and that all
     terminator targets are in range; raises [Invalid_argument]
     otherwise. *)

@@ -11,6 +11,8 @@ let partition_batch ~pool ?(threshold = 0.0) ~counts () =
   Support.Pool.map_array pool (Array.length counts) (fun i ->
       partition ~counts:counts.(i) ~threshold ())
 
+(* Modelled code-size overhead of reaching a call-extracted cold region
+   (lea+mov+call+mov+jmp of Fig 2 centre). *)
 let trampoline_bytes = 16
 
 let call_split_profitable ~cold_bytes ~entry_count ~cold_entry_count =

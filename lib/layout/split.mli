@@ -32,7 +32,3 @@ val partition_batch :
     rarely relative to the function (cold extraction via call costs a
     call + spill at each entry, Fig 2). *)
 val call_split_profitable : cold_bytes:int -> entry_count:float -> cold_entry_count:float -> bool
-
-(** [trampoline_bytes] is the modelled code-size overhead of reaching a
-    call-extracted cold region (lea+mov+call+mov+jmp of Fig 2 centre). *)
-val trampoline_bytes : int

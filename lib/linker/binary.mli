@@ -78,11 +78,6 @@ val funcs : t -> string list
     tools need (the raw [blocks] table iterates in hash order). *)
 val blocks_in_address_order : t -> block_info list
 
-(** [symbols_sorted t] lists (symbol, address) pairs sorted by address,
-    ties broken by name — a stable walk of the symbol table for listings
-    and diffs. *)
-val symbols_sorted : t -> (string * int) list
-
 (** [image_digest t] is a content digest of the observable image: the
     placed section list, every block's final address/size/instructions
     (in address order), and the sorted symbol table. Binaries built from

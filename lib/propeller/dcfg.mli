@@ -48,11 +48,6 @@ val interval_index : Linker.Binary.t -> mblock array
     for the block containing [addr], returning its index and the block. *)
 val find_in : mblock array -> int -> (int * mblock) option
 
-(** [find_idx blocks addr] is the index form of {!find_in}: the index of
-    the containing block, or [-1]. Allocation-free — the DCFG build
-    calls it twice per LBR pair. *)
-val find_idx : mblock array -> int -> int
-
 (** [build ~profile ~binary] reconstructs the DCFG from the binary's
     [.llvm_bb_addr_map] (Propeller's path). Raises [Invalid_argument]
     when [binary] has no address map. *)

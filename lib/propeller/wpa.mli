@@ -89,26 +89,6 @@ val block_layout :
   Dcfg.dfunc ->
   block_layout
 
-(** [layout_params_str config] renders the configuration half of the
-    layout key, shared by every function of one analysis. *)
-val layout_params_str : config -> string
-
-(** [layout_shape_strs dcfg] renders each function's block-shape key
-    segment from the address map, in one pass over the block index. *)
-val layout_shape_strs : Dcfg.t -> (string, string) Hashtbl.t
-
-(** [layout_key ~params_str ~shape_strs dfunc] is the content-addressed
-    key of one function's layout problem: a digest over the function's
-    sampled counts and edges, its block shapes from the address map
-    ([shape_strs]), and the layout configuration ([params_str]). Two
-    profiles that agree on a function produce the same key, so warm
-    relinks reuse its cached (plan, score). *)
-val layout_key :
-  params_str:string ->
-  shape_strs:(string, string) Hashtbl.t ->
-  Dcfg.dfunc ->
-  Support.Digesting.t
-
 (** [analyze ?config ~ctx ?layout_cache ~profile ~binary ()] runs the
     whole-program analysis against a metadata binary (one linked with
     [keep_bb_addr_map = true]; raises [Invalid_argument] otherwise).
@@ -116,8 +96,10 @@ val layout_key :
     Per-function partitioning and Ext-TSP fan out on the context's
     domain pool; results commit in deterministic order, so plans,
     ordering and [layout_score] are identical for any pool width. With
-    [layout_cache], functions whose {!layout_key} is cached skip layout
-    entirely — the incremental-relink fast path — and the result's
+    [layout_cache], functions whose content-addressed layout key (a
+    digest of the function's sampled counts and edges, its block shapes
+    and the layout configuration) is cached skip layout entirely — the
+    incremental-relink fast path — and the result's
     [layout_cache_*] fields report this call's deltas.
 
     When [ctx] carries an active fault plan with a positive shard-drop

@@ -5,11 +5,8 @@
     encoding is order-preserving: sorting packed keys sorts by (src,
     dst) lexicographically. *)
 
-val addr_bits : int
-(** Bits per address half (31). *)
-
 val max_addr : int
-(** Largest packable address, [2^addr_bits - 1]. *)
+(** Largest packable address, [2^31 - 1]. *)
 
 val pack : src:int -> dst:int -> int
 (** [pack ~src ~dst] packs a pair. Raises [Invalid_argument] when either

@@ -13,4 +13,4 @@ if [ $# -lt 2 ] || [ $# -gt 3 ]; then
 fi
 
 cd "$(dirname "$0")/.."
-exec dune exec bin/propeller_stat.exe -- diff "$1" "$2" --threshold "${3:-5}"
+exec dune exec bin/propeller.exe -- stat diff "$1" "$2" --threshold "${3:-5}"

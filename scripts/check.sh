@@ -47,12 +47,12 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
-echo "== propeller_driver --trace smoke =="
+echo "== propeller run --trace smoke =="
 out_dir=$(mktemp -d)
 trap 'rm -rf "$out_dir"' EXIT
 
 log="$out_dir/driver.log"
-dune exec bin/propeller_driver.exe -- \
+dune exec bin/propeller.exe -- run \
   --benchmark 505.mcf --requests 40 \
   --trace "$out_dir/trace.json" \
   --metrics-out "$out_dir/metrics.json" \
@@ -86,7 +86,7 @@ grep -q "buildsys.cache" "$out_dir/metrics.json" || {
 echo "== self-profile smoke =="
 # --self-profile-out must emit JSON our own parser accepts (the tool
 # validates and prints the verdict) and a non-empty hotspot table.
-dune exec bin/propeller_driver.exe -- \
+dune exec bin/propeller.exe -- run \
   --benchmark 505.mcf --requests 40 \
   --self-profile-out "$out_dir/selfprof.json" >"$out_dir/selfprof.log"
 grep -q "self-profile: .*valid JSON" "$out_dir/selfprof.log" || {
@@ -106,13 +106,13 @@ grep -Eq '^(compile|exec:run|link|codegen|phase:wpa) ' "$out_dir/selfprof.log" |
   cat "$out_dir/selfprof.log" >&2
   exit 1
 }
-# propeller_stat top re-reads the exported profile.
-dune exec bin/propeller_stat.exe -- top --from "$out_dir/selfprof.json" -n 5 \
+# propeller stat top re-reads the exported profile.
+dune exec bin/propeller.exe -- stat top --from "$out_dir/selfprof.json" -n 5 \
   >"$out_dir/top.log" || {
-  echo "FAIL: propeller_stat top --from rejected the exported profile" >&2
+  echo "FAIL: propeller stat top --from rejected the exported profile" >&2
   exit 1
 }
-test -s "$out_dir/top.log" || { echo "FAIL: propeller_stat top printed nothing" >&2; exit 1; }
+test -s "$out_dir/top.log" || { echo "FAIL: propeller stat top printed nothing" >&2; exit 1; }
 
 echo "== parallel determinism smoke =="
 # The --jobs contract: the optimized image and the judged metrics are
@@ -121,7 +121,7 @@ echo "== parallel determinism smoke =="
 # never perturb simulated outputs. Run the driver at 4 and 1 and
 # compare.
 for j in 4 1; do
-  dune exec bin/propeller_driver.exe -- \
+  dune exec bin/propeller.exe -- run \
     --benchmark 505.mcf --requests 40 --jobs "$j" --self-profile \
     --metrics-out "$out_dir/metrics_j$j.json" >"$out_dir/driver_j$j.log"
 done
@@ -151,13 +151,13 @@ if [ "$prof1" != "$prof4" ]; then
   exit 1
 fi
 
-echo "== propeller_inspect smoke =="
+echo "== propeller inspect smoke =="
 # Each view must produce JSON that our own Obs.Json parser accepts; the
 # validate subcommand exits non-zero on any parse failure.
 for view in annotate size paths; do
-  dune exec bin/propeller_inspect.exe -- "$view" \
+  dune exec bin/propeller.exe -- inspect "$view" \
     -b 505.mcf -r 40 --json -o "$out_dir/inspect_$view.json" || {
-    echo "FAIL: propeller_inspect $view --json exited non-zero" >&2
+    echo "FAIL: propeller inspect $view --json exited non-zero" >&2
     exit 1
   }
   test -s "$out_dir/inspect_$view.json" || {
@@ -165,10 +165,10 @@ for view in annotate size paths; do
     exit 1
   }
 done
-dune exec bin/propeller_inspect.exe -- validate \
+dune exec bin/propeller.exe -- inspect validate \
   "$out_dir/inspect_annotate.json" "$out_dir/inspect_size.json" \
   "$out_dir/inspect_paths.json" || {
-  echo "FAIL: propeller_inspect validate rejected an emitted view" >&2
+  echo "FAIL: propeller inspect validate rejected an emitted view" >&2
   exit 1
 }
 
@@ -179,7 +179,7 @@ echo "== sampled profile-source smoke =="
 # must be rejected with the valid set listed.
 for tag in a b j1; do
   jobs=4; [ "$tag" = j1 ] && jobs=1
-  dune exec bin/propeller_driver.exe -- \
+  dune exec bin/propeller.exe -- run \
     --benchmark 505.mcf --requests 40 --jobs "$jobs" \
     --profile-source sampled >"$out_dir/sampled_$tag.log"
 done
@@ -210,7 +210,7 @@ if [ "$sa" = "$lbrd" ]; then
   echo "FAIL: sampled and LBR profiles produced the same image (gap lost?)" >&2
   exit 1
 fi
-if dune exec bin/propeller_driver.exe -- \
+if dune exec bin/propeller.exe -- run \
   --benchmark 505.mcf --requests 40 --profile-source pebs \
   >"$out_dir/sampled_bad.log" 2>&1; then
   echo "FAIL: bogus --profile-source value was accepted" >&2
@@ -226,15 +226,15 @@ echo "== fidelity report smoke =="
 # The LBR-vs-sampled gap experiment: JSON must re-parse with our own
 # Obs.Json parser (the tool validates and prints the verdict) and carry
 # both sides.
-dune exec bin/propeller_stat.exe -- fidelity -b 505.mcf -r 20 \
+dune exec bin/propeller.exe -- stat fidelity -b 505.mcf -r 20 \
   --json -o "$out_dir/fidelity.json" >"$out_dir/fidelity.log" || {
-  echo "FAIL: propeller_stat fidelity exited non-zero" >&2
+  echo "FAIL: propeller stat fidelity exited non-zero" >&2
   cat "$out_dir/fidelity.log" >&2
   exit 1
 }
 test -s "$out_dir/fidelity.json" || { echo "FAIL: empty fidelity.json" >&2; exit 1; }
-dune exec bin/propeller_inspect.exe -- validate "$out_dir/fidelity.json" || {
-  echo "FAIL: fidelity JSON rejected by propeller_inspect validate" >&2
+dune exec bin/propeller.exe -- inspect validate "$out_dir/fidelity.json" || {
+  echo "FAIL: fidelity JSON rejected by propeller inspect validate" >&2
   exit 1
 }
 for key in '"lbr"' '"sampled"' '"weight_correlation"' '"cycle_gap_pct"'; do
@@ -250,7 +250,7 @@ echo "== layout policy smoke =="
 # default run must be byte-identical to an explicit --layout-policy
 # exttsp run (the policy API redesign may not move the default layout).
 for pol in exttsp exttsp-linear callchain greedy hillclimb local-search; do
-  dune exec bin/propeller_driver.exe -- \
+  dune exec bin/propeller.exe -- run \
     --benchmark 505.mcf --requests 40 --layout-policy "$pol" \
     >"$out_dir/policy_$pol.log" || {
     echo "FAIL: --layout-policy $pol run failed" >&2
@@ -270,7 +270,7 @@ if [ "$default_digest" != "$exttsp_digest" ]; then
   echo "  exttsp:  $exttsp_digest" >&2
   exit 1
 fi
-if dune exec bin/propeller_driver.exe -- \
+if dune exec bin/propeller.exe -- run \
   --benchmark 505.mcf --requests 40 --layout-policy pettis \
   >"$out_dir/policy_bad.log" 2>&1; then
   echo "FAIL: bogus --layout-policy value was accepted" >&2
@@ -286,15 +286,15 @@ echo "== layout search smoke =="
 # Tiny-budget tournament: the JSON report must re-parse with our own
 # parser and carry the exttsp baseline, a winner, and the quantified
 # score-vs-cycles agreement.
-dune exec bin/propeller_stat.exe -- search -b 505.mcf -r 20 --budget 7 \
+dune exec bin/propeller.exe -- stat search -b 505.mcf -r 20 --budget 7 \
   --json -o "$out_dir/search.json" >"$out_dir/search.log" || {
-  echo "FAIL: propeller_stat search exited non-zero" >&2
+  echo "FAIL: propeller stat search exited non-zero" >&2
   cat "$out_dir/search.log" >&2
   exit 1
 }
 test -s "$out_dir/search.json" || { echo "FAIL: empty search.json" >&2; exit 1; }
-dune exec bin/propeller_inspect.exe -- validate "$out_dir/search.json" || {
-  echo "FAIL: search JSON rejected by propeller_inspect validate" >&2
+dune exec bin/propeller.exe -- inspect validate "$out_dir/search.json" || {
+  echo "FAIL: search JSON rejected by propeller inspect validate" >&2
   exit 1
 }
 for key in '"winner_policy"' '"exttsp_po_cycles"' '"proxy_agreement"' '"entries"'; do
@@ -312,7 +312,7 @@ echo "== fault injection smoke =="
 plan='action=0.2,persist=0.1,straggle=0.1,corrupt=0.15,shard-drop=0.1'
 for seed in 7 11; do
   for rerun in a b; do
-    dune exec bin/propeller_driver.exe -- \
+    dune exec bin/propeller.exe -- run \
       --benchmark 505.mcf --requests 40 \
       --faults "$plan" --seed "$seed" \
       --metrics-out "$out_dir/faults_${seed}_${rerun}.metrics.json" \
@@ -339,7 +339,7 @@ for seed in 7 11; do
     exit 1
   fi
 done
-dune exec bin/propeller_driver.exe -- \
+dune exec bin/propeller.exe -- run \
   --benchmark 505.mcf --requests 40 \
   --faults 'seed=3,action=0.3,straggle=0.2,corrupt=0.3' \
   >"$out_dir/faults_nodeg.log"
@@ -359,7 +359,7 @@ echo "== fleet continuous-relink smoke =="
 # report on rerun; a sabotaged canary must be judged, rolled back, and
 # leave its verdict in the flight-recorder dump.
 for rerun in a b; do
-  dune exec bin/propeller_fleet.exe -- run \
+  dune exec bin/propeller.exe -- fleet run \
     -b 505.mcf -r 60 --machines 4 --cycles 3 --seed 7 \
     --lbr-period 1 --jitter 0 --window 1 \
     --json-out "$out_dir/fleet_$rerun.json" >"$out_dir/fleet_$rerun.log"
@@ -378,7 +378,7 @@ grep -Eq '"converged_after_relinks":[12],' "$out_dir/fleet_a.json" || {
   cat "$out_dir/fleet_a.log" >&2
   exit 1
 }
-dune exec bin/propeller_fleet.exe -- run \
+dune exec bin/propeller.exe -- fleet run \
   -b 505.mcf -r 60 --machines 4 --cycles 2 --seed 7 \
   --lbr-period 1 --jitter 0 --window 1 --sabotage-cycle 2 \
   --json-out "$out_dir/fleet_sab.json" \
@@ -397,6 +397,39 @@ grep -q 'fleet.rollback' "$out_dir/fleet_sab.err" || {
   cat "$out_dir/fleet_sab.err" >&2
   exit 1
 }
+
+echo "== run/stat measurement parity smoke =="
+# propeller run and propeller stat measure through the same spec-derived
+# core (pressure-preserving page scaling on scale>1 programs), so on a
+# scale-16 benchmark the speedup run prints must equal stat's
+# uarch_delta.speedup_pct to two decimals.
+dune exec bin/propeller.exe -- run -b mysql -r 10 >"$out_dir/parity_run.log"
+dune exec bin/propeller.exe -- stat -b mysql -r 10 --json >"$out_dir/parity_stat.json"
+run_pct=$(sed -n 's/^performance: .*(\([-+0-9.]*\)%)$/\1/p' "$out_dir/parity_run.log")
+stat_pct=$(sed -n 's/.*"uarch_delta":{"speedup_pct":\([-+0-9.eE]*\).*/\1/p' \
+  "$out_dir/parity_stat.json" | awk '{ printf "%+.2f", $1 }')
+if [ -z "$run_pct" ] || [ "$run_pct" != "$stat_pct" ]; then
+  echo "FAIL: propeller run speedup ($run_pct%) differs from propeller stat ($stat_pct%)" >&2
+  exit 1
+fi
+
+echo "== usage error smoke =="
+# An unknown benchmark is a usage error (exit 2) that names the known
+# benchmarks, through the one shared lookup.
+for cmd in wpa bolt; do
+  status=0
+  dune exec bin/propeller.exe -- "$cmd" -b nosuch >/dev/null 2>"$out_dir/usage_$cmd.err" ||
+    status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "FAIL: propeller $cmd -b nosuch exited $status, expected 2" >&2
+    exit 1
+  fi
+  grep -q 'known: .*505\.mcf' "$out_dir/usage_$cmd.err" || {
+    echo "FAIL: propeller $cmd -b nosuch does not name the known benchmarks" >&2
+    cat "$out_dir/usage_$cmd.err" >&2
+    exit 1
+  }
+done
 
 echo "== bench regression gate =="
 # Emit a fresh bench JSON for the small progen workload and diff it
@@ -427,4 +460,4 @@ scripts/bench_diff.sh bench/baseline.json "$out_dir/bench.json" 5 || {
   exit 1
 }
 
-echo "OK: state allowlist + build + tests + trace smoke + sampled smoke + fidelity smoke + policy smoke + search smoke + fault smoke + fleet smoke + bench gate all green"
+echo "OK: state allowlist + build + tests + trace smoke + sampled smoke + fidelity smoke + policy smoke + search smoke + fault smoke + fleet smoke + parity smoke + usage smoke + bench gate all green"

@@ -244,7 +244,7 @@ let test_compare_schema_gained_key_noted () =
        o.Diagnostics.Compare.notes)
 
 let test_diff_stdout_parseable () =
-  (* The `propeller_stat diff` contract: verdict/MISSING lines go to
+  (* The `propeller stat diff` contract: verdict/MISSING lines go to
      stdout, NOTE lines to stderr. On a mixed-schema diff (older
      baseline, current file with a gained judged metric) every stdout
      line must parse as `<mark> <metric> ...` with a fixed mark, and no
@@ -305,8 +305,7 @@ let fidelity_fixture =
   lazy
     (let spec, program = medium_program () in
      let run () =
-       Diagnostics.Fidelity.analyze ~requests:spec.requests
-         ~ctx:(Support.Ctx.create ()) ~program ~name:spec.name ()
+       Diagnostics.Fidelity.analyze ~spec ~ctx:(Support.Ctx.create ()) ~program ()
      in
      (run (), run))
 
@@ -360,6 +359,21 @@ let test_fidelity_deterministic () =
     (Obs.Json.to_string (Diagnostics.Fidelity.to_json f1))
     (Obs.Json.to_string (Diagnostics.Fidelity.to_json f2))
 
+(* --- Measure: the one spec-to-simulation decision ------------------- *)
+
+(* Measure.core_config floors log2 of the scale, which is exact only for
+   power-of-two scales, so every suite spec must have one. *)
+let test_measure_core_config () =
+  List.iter
+    (fun (spec : Progen.Spec.t) ->
+      let core = Diagnostics.Measure.core_config spec in
+      check tb (spec.name ^ ": power-of-two scale") true
+        (spec.scale > 0 && spec.scale land (spec.scale - 1) = 0);
+      check ti (spec.name ^ ": page_scale_bits = log2 scale") spec.scale
+        (1 lsl core.page_scale_bits);
+      check tb (spec.name ^ ": hugepages from spec") spec.hugepages core.hugepages)
+    Progen.Suite.all
+
 let suite =
   [
     Alcotest.test_case "quality: exact coverage + mismatch" `Quick test_quality_exact;
@@ -376,6 +390,7 @@ let suite =
     Alcotest.test_case "fidelity: metric bounds" `Quick test_fidelity_bounds;
     Alcotest.test_case "fidelity: JSON round-trip" `Quick test_fidelity_json_roundtrip;
     Alcotest.test_case "fidelity: deterministic" `Quick test_fidelity_deterministic;
+    Alcotest.test_case "measure: spec-derived core config" `Quick test_measure_core_config;
     Alcotest.test_case "compare: selfspeed tolerance" `Quick
       test_compare_selfspeed_widened_tolerance;
   ]
